@@ -348,15 +348,7 @@ def cmd_table(cfg: RunConfig, models=None) -> int:
                 {k: measured[k] for k in ("reciprocity", "determinism", "contextual")}
             )
             row["source"] = "measured"
-            mismatch = {
-                name: {
-                    "declared": "holds" if want else "fails",
-                    "measured": st.value,
-                }
-                for name, st, want in _predicate_expectations(rep, model.declared)
-                if st.value != "not_applicable"
-                and (st.value == "falsified") == want
-            }
+            mismatch = rep.mismatches(model.declared)
             row["mismatch"] = mismatch or None
             if mismatch:
                 any_mismatch = True
@@ -383,19 +375,6 @@ def cmd_table(cfg: RunConfig, models=None) -> int:
 
     _emit(cfg, envelope, "\n".join(lines), (TABLE_COLUMNS, rows))
     return 0 if not any_mismatch else 1
-
-
-def _predicate_expectations(report, declared):
-    want = {
-        "reciprocity": declared.reciprocal,
-        "outcome_determinism": declared.outcome_deterministic,
-        "measurement_noncontextuality": not declared.measurement_contextual,
-        "preparation_noncontextuality": not declared.preparation_contextual,
-        "response_state_independence": not declared.psi_dependent_response,
-    }
-    return [
-        (name, report.predicates[name], expect) for name, expect in want.items()
-    ]
 
 
 def cmd_ksval(cfg: RunConfig) -> int:

@@ -28,6 +28,13 @@ from .rng import DEFAULT_SEED, stream
 MC_BLOCK = 1 << 16
 
 
+def _block_sizes(n: int, block: int) -> list:
+    """Sizes of the consecutive blocks that split n items: full blocks,
+    then the remainder if any."""
+    full, rem = divmod(int(n), block)
+    return [block] * full + ([rem] if rem else [])
+
+
 class EngineError(ValueError):
     """Engine cannot evaluate the requested integral."""
 
@@ -238,9 +245,7 @@ class MonteCarlo:
 
     def blocks(self):
         """(block_index, block_size) partition of n_samples."""
-        n_full, rem = divmod(self.n_samples, MC_BLOCK)
-        sizes = [MC_BLOCK] * n_full + ([rem] if rem else [])
-        return list(enumerate(sizes))
+        return list(enumerate(_block_sizes(self.n_samples, MC_BLOCK)))
 
     def block_stream(self, j: int, *labels) -> np.random.Generator:
         return stream(self.seed, *labels, "block", j)

@@ -50,6 +50,7 @@ from .engines import (
     Estimate,
     MonteCarlo,
     SphereQuadrature,
+    _block_sizes,
 )
 from .hilbert import (
     Decomposition,
@@ -233,12 +234,6 @@ class OntologicalModel:
 # for composite spaces; all model callables are vectorized over batches.
 
 
-def batch_len(batch) -> int:
-    if isinstance(batch, tuple):
-        return batch[0].shape[0]
-    return batch.shape[0]
-
-
 def batch_concat(batches):
     if isinstance(batches[0], tuple):
         k = len(batches[0])
@@ -266,15 +261,6 @@ def point_to_jsonable(batch_row):
     if isinstance(batch_row, tuple):
         return [_jsonable_array(p) for p in batch_row]
     return _jsonable_array(batch_row)
-
-
-def points_equal(a, b) -> bool:
-    """Bit-identical comparison of two batches."""
-    if isinstance(a, tuple) != isinstance(b, tuple):
-        return False
-    if isinstance(a, tuple):
-        return all(np.array_equal(x, y) for x, y in zip(a, b))
-    return np.array_equal(a, b)
 
 
 def state_label(psi: PureState) -> str:
@@ -486,51 +472,11 @@ class BornReport:
         }
 
 
-def verify_born(model, states, bases, engine, sp=None) -> BornReport:
-    """Compare model predictions to Born probabilities.
-
-    Every state is paired with every basis, and every outcome of the basis
-    is checked.  Pass requires each deviation below the engine tolerance
-    (three standard errors for Monte Carlo).
-    """
-    if not states or not bases:
-        raise ValueError("verify_born needs non-empty state and basis lists")
+def _born_report(model, pairs, engine) -> BornReport:
+    """Deviation from the Born probability for every outcome of every
+    (state, measurement context) pair."""
     devs = []
-    for psi in states:
-        for sm in bases:
-            for phi in sm.payload:
-                est = predict_probability(model, psi, sp, phi, sm, engine)
-                target = born_probability(phi, psi)
-                devs.append(
-                    PairDeviation(
-                        psi_label=state_label(psi),
-                        phi_label=state_label(phi),
-                        basis_label=sm.label,
-                        predicted=est.value,
-                        born=target,
-                        deviation=abs(est.value - target),
-                        tolerance=est.tolerance,
-                        stderr=est.stderr,
-                    )
-                )
-    return BornReport(model.name, engine.spec, tuple(devs), len(devs))
-
-
-def random_born_suite(dim: int, n_pairs: int, seed: int):
-    """n_pairs independent (state, measurement-basis) pairs for Born checks."""
-    states, bases = [], []
-    for t in range(n_pairs):
-        g = stream(seed, "born-suite", dim, t)
-        states.append(random_state(dim, g))
-        bases.append(measurement_of(random_state(dim, g), f"rand:{t}"))
-    return states, bases
-
-
-def born_suite_pairs(model, n_pairs, seed, engine) -> BornReport:
-    """verify_born over n_pairs independently drawn (psi, basis) pairs."""
-    states, bases = random_born_suite(model.dim, n_pairs, seed)
-    devs = []
-    for psi, sm in zip(states, bases):
+    for psi, sm in pairs:
         for phi in sm.payload:
             est = predict_probability(model, psi, None, phi, sm, engine)
             target = born_probability(phi, psi)
@@ -547,6 +493,34 @@ def born_suite_pairs(model, n_pairs, seed, engine) -> BornReport:
                 )
             )
     return BornReport(model.name, engine.spec, tuple(devs), len(devs))
+
+
+def verify_born(model, states, bases, engine) -> BornReport:
+    """Compare model predictions to Born probabilities.
+
+    Every state is paired with every basis, and every outcome of the basis
+    is checked.  Pass requires each deviation below the engine tolerance
+    (three standard errors for Monte Carlo).
+    """
+    if not states or not bases:
+        raise ValueError("verify_born needs non-empty state and basis lists")
+    return _born_report(model, [(psi, sm) for psi in states for sm in bases], engine)
+
+
+def random_born_suite(dim: int, n_pairs: int, seed: int):
+    """n_pairs independent (state, measurement-basis) pairs for Born checks."""
+    states, bases = [], []
+    for t in range(n_pairs):
+        g = stream(seed, "born-suite", dim, t)
+        states.append(random_state(dim, g))
+        bases.append(measurement_of(random_state(dim, g), f"rand:{t}"))
+    return states, bases
+
+
+def born_suite_pairs(model, n_pairs, seed, engine) -> BornReport:
+    """verify_born over n_pairs independently drawn (psi, basis) pairs."""
+    states, bases = random_born_suite(model.dim, n_pairs, seed)
+    return _born_report(model, zip(states, bases), engine)
 
 
 # ---------------------------------------------------------------------------
@@ -571,31 +545,91 @@ class CheckResult:
         }
 
 
-def _sample_blocks(n_samples: int):
-    full, rem = divmod(n_samples, MC_BLOCK)
-    return [MC_BLOCK] * full + ([rem] if rem else [])
-
-
-def _mu_block(model, psi, sp, seed, tag, j, m):
-    mu = model.prepare(psi, sp)
-    g = stream(seed, model.name, tag, mu.label, "block", j)
-    return mu, mu.sampler(g, m)
-
-
-def _ref_block(model, seed, tag, j, m):
-    g = stream(seed, model.name, tag, "ref", "block", j)
-    return model.ontic_space.reference_sampler(g, m)
-
-
 def _witness(kind, seed, model, row_payload):
     w = {"kind": kind, "seed": seed, "model": model.name}
     w.update(row_payload)
     return w
 
 
-def check_quantum_certainty(
-    model, psi, sp=None, sm=None, n_samples=10_000, seed=None
-) -> CheckResult:
+# A sampled probe is a trial function trial(model, seed, t, m, *inputs) ->
+# (batch, checks): trial t draws its m rows from counter-based streams keyed
+# by (seed, t), so any trial can be rerun on its own.  Each check is a pair
+# (violated-row mask, fields) where fields(i) gives the witness payload for
+# row i.  Checks are ordered: the first check with a violated row wins, even
+# when a later check flags an earlier row.
+
+
+def _trial_witness(kind, seed, model, index, t, m, batch, i, fields) -> dict:
+    """Witness for row i of trial t; index names the trial coordinate."""
+    coords = {index: t, "row": i, "block_size": m}
+    point = {"point": point_to_jsonable(batch_take(batch, i))}
+    return _witness(kind, seed, model, {**coords, **fields(i), **point})
+
+
+def _scan(kind, model, seed, sizes, trial, *inputs, index="trial"):
+    """Run the trials in order; return the witness of the first violated
+    row (or None) and the number of rows checked up to that trial."""
+    checked = 0
+    for t, m in enumerate(sizes):
+        batch, checks = trial(model, seed, t, m, *inputs)
+        checked += m
+        for bad, fields in checks:
+            rows = np.flatnonzero(bad)
+            if rows.size:
+                i = int(rows[0])
+                wit = _trial_witness(kind, seed, model, index, t, m, batch, i, fields)
+                return wit, checked
+    return None, checked
+
+
+def _certainty_trial(model, seed, t, m, psi, sm):
+    """Draws from the psi-state where outcome psi of sm is not certain.
+
+    A point-mass state is one trial whose rows are its weighted atoms.
+    """
+    mu = model.prepare(psi)
+    if mu.point_masses is not None:
+        batch, weights = mu.point_masses
+        live = weights > 0
+    else:
+        g = stream(seed, model.name, "certainty", mu.label, "block", t)
+        batch, live = mu.sampler(g, m), True
+    vals = np.asarray(model.respond.evaluate(psi, batch, sm), dtype=float)
+    return batch, [(live & (vals < 1.0 - XI_TOL), lambda i: {
+        "psi": _jsonable_array(psi.amplitudes),
+        "basis": [_jsonable_array(s.amplitudes) for s in sm.payload],
+        "value": float(vals[i]),
+    })]
+
+
+def _chain_mu_trial(model, seed, t, m, psi):
+    """Draws from the psi-state outside its own support or outside the
+    response core for outcome psi."""
+    mu = model.prepare(psi)
+    batch = mu.sampler(stream(seed, model.name, "chain-mu", mu.label, "block", t), m)
+    in_supp = np.asarray(mu.support(batch), dtype=bool)
+    in_core = np.asarray(model.respond.core(psi, batch, measurement_of(psi)), dtype=bool)
+    return batch, [(~(in_supp & in_core), lambda i: {
+        "stage": "mu-draw" if not in_supp[i] else "core",
+        "psi": _jsonable_array(psi.amplitudes),
+    })]
+
+
+def _chain_ref_trial(model, seed, t, m, psi):
+    """Reference draws inside the response core for outcome psi but
+    outside its support."""
+    g = stream(seed, model.name, "chain-ref", "ref", "block", t)
+    batch = model.ontic_space.reference_sampler(g, m)
+    sm = measurement_of(psi)
+    in_core = np.asarray(model.respond.core(psi, batch, sm), dtype=bool)
+    in_supp = np.asarray(model.respond.support(psi, batch, sm), dtype=bool)
+    return batch, [(in_core & ~in_supp, lambda i: {
+        "stage": "core-not-support",
+        "psi": _jsonable_array(psi.amplitudes),
+    })]
+
+
+def check_quantum_certainty(model, psi, sm=None, n_samples=10_000, seed=None) -> CheckResult:
     """Outcome psi must be certain when psi was prepared.
 
     Point-mass states are checked atom by atom; sampled states draw from
@@ -606,49 +640,18 @@ def check_quantum_certainty(
     model.check_dim(psi.dim)
     if sm is None:
         sm = measurement_of(psi)
-    mu = model.prepare(psi, sp)
-    evaluate = model.respond.evaluate
-
+    mu = model.prepare(psi)
     if mu.point_masses is not None:
-        atoms, weights = mu.point_masses
-        vals = np.asarray(evaluate(psi, atoms, sm), dtype=float)
-        bad = np.flatnonzero((weights > 0) & (vals < 1.0 - XI_TOL))
-        if bad.size:
-            i = int(bad[0])
-            wit = _witness(
-                "certainty", seed, model,
-                {
-                    "psi": _jsonable_array(psi.amplitudes),
-                    "atom": i,
-                    "value": float(vals[i]),
-                    "point": point_to_jsonable(batch_take(atoms, i)),
-                },
-            )
-            return CheckResult("quantum_certainty", False, int(weights.size), wit)
-        return CheckResult("quantum_certainty", True, int(weights.size))
-
-    checked = 0
-    for j, m in enumerate(_sample_blocks(n_samples)):
-        mu, batch = _mu_block(model, psi, sp, seed, "certainty", j, m)
-        vals = np.asarray(evaluate(psi, batch, sm), dtype=float)
-        bad = np.flatnonzero(vals < 1.0 - XI_TOL)
-        if bad.size:
-            i = int(bad[0])
-            wit = _witness(
-                "certainty", seed, model,
-                {
-                    "psi": _jsonable_array(psi.amplitudes),
-                    "block": j, "row": i, "block_size": m,
-                    "value": float(vals[i]),
-                    "point": point_to_jsonable(batch_take(batch, i)),
-                },
-            )
-            return CheckResult("quantum_certainty", False, checked + m, wit)
-        checked += m
-    return CheckResult("quantum_certainty", True, checked)
+        sizes = [int(mu.point_masses[1].size)]
+    else:
+        sizes = _block_sizes(n_samples, MC_BLOCK)
+    wit, checked = _scan(
+        "certainty", model, seed, sizes, _certainty_trial, psi, sm, index="block"
+    )
+    return CheckResult("quantum_certainty", wit is None, checked, wit)
 
 
-def check_support_chain(model, psi, n_samples=10_000, seed=None, sp=None) -> CheckResult:
+def check_support_chain(model, psi, n_samples=10_000, seed=None) -> CheckResult:
     """Preparation support within response core within response support.
 
     Draws from the epistemic state must satisfy its own support predicate
@@ -657,47 +660,14 @@ def check_support_chain(model, psi, n_samples=10_000, seed=None, sp=None) -> Che
     """
     seed = DEFAULT_SEED if seed is None else int(seed)
     model.check_dim(psi.dim)
-    sm = measurement_of(psi)
-    resp = model.respond
+    sizes = _block_sizes(n_samples, MC_BLOCK)
     checked = 0
-    for j, m in enumerate(_sample_blocks(n_samples)):
-        mu, batch = _mu_block(model, psi, sp, seed, "chain-mu", j, m)
-        in_supp = np.asarray(mu.support(batch), dtype=bool)
-        in_core = np.asarray(resp.core(psi, batch, sm), dtype=bool)
-        bad = np.flatnonzero(~(in_supp & in_core))
-        if bad.size:
-            i = int(bad[0])
-            wit = _witness(
-                "support_chain", seed, model,
-                {
-                    "stage": "mu-draw" if not in_supp[i] else "core",
-                    "psi": _jsonable_array(psi.amplitudes),
-                    "block": j, "row": i, "block_size": m,
-                    "point": point_to_jsonable(batch_take(batch, i)),
-                },
-            )
-            return CheckResult("support_chain", False, checked + m, wit)
-        checked += m
-
-    for j, m in enumerate(_sample_blocks(n_samples)):
-        batch = _ref_block(model, seed, "chain-ref", j, m)
-        in_core = np.asarray(resp.core(psi, batch, sm), dtype=bool)
-        in_supp = np.asarray(resp.support(psi, batch, sm), dtype=bool)
-        bad = np.flatnonzero(in_core & ~in_supp)
-        if bad.size:
-            i = int(bad[0])
-            wit = _witness(
-                "support_chain", seed, model,
-                {
-                    "stage": "core-not-support",
-                    "psi": _jsonable_array(psi.amplitudes),
-                    "block": j, "row": i, "block_size": m,
-                    "point": point_to_jsonable(batch_take(batch, i)),
-                },
-            )
-            return CheckResult("support_chain", False, checked + m, wit)
-        checked += m
-    return CheckResult("support_chain", True, checked)
+    for trial in (_chain_mu_trial, _chain_ref_trial):
+        wit, n = _scan("support_chain", model, seed, sizes, trial, psi, index="block")
+        checked += n
+        if wit is not None:
+            break
+    return CheckResult("support_chain", wit is None, checked, wit)
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +768,8 @@ def is_maximally_epistemic(model, n_pairs=20, engine=None, seed=None) -> MaxEpis
 
     decl = model.declared.reciprocal and model.declared.outcome_deterministic
     rd_seed = seed + 1
-    recip_wit, _ = _probe_reciprocity(model, 2048, rd_seed)
-    det_wit, _ = _probe_determinism(model, 2048, rd_seed)
+    recip_wit, _ = _run_probe("reciprocity", model, 2048, rd_seed)
+    det_wit, _ = _run_probe("determinism", model, 2048, rd_seed)
     rd_verdict = decl and recip_wit is None and det_wit is None
     if f_maximal != rd_verdict:
         raise ModelConsistencyError(
@@ -857,87 +827,42 @@ def _status(declared: bool, witness, n_trials, note="") -> Status:
     )
 
 
-def _trial_counts(n_trials, block=256):
-    full, rem = divmod(int(n_trials), block)
-    return [block] * full + ([rem] if rem else [])
-
-
-def _probe_reciprocity(model, n_trials, seed):
-    """Hunt for reference points where response core and preparation
+def _reciprocity_trial(model, seed, t, m):
+    """Reference points where the response core and the preparation
     support disagree for a random state."""
-    dim = model.dim
-    resp = model.respond
-    checked = 0
-    for t, m in enumerate(_trial_counts(n_trials)):
-        psi = random_state(dim, stream(seed, model.name, "recip", t, "psi"))
-        batch = model.ontic_space.reference_sampler(
-            stream(seed, model.name, "recip", t, "lam"), m
-        )
-        sm = measurement_of(psi)
-        mu = model.prepare(psi)
-        in_core = np.asarray(resp.core(psi, batch, sm), dtype=bool)
-        in_supp = np.asarray(mu.support(batch), dtype=bool)
-        bad = np.flatnonzero(in_core != in_supp)
-        checked += m
-        if bad.size:
-            i = int(bad[0])
-            return (
-                _witness(
-                    "reciprocity", seed, model,
-                    {
-                        "trial": t, "row": i, "block_size": m,
-                        "psi": _jsonable_array(psi.amplitudes),
-                        "core": bool(in_core[i]),
-                        "in_support": bool(in_supp[i]),
-                        "point": point_to_jsonable(batch_take(batch, i)),
-                    },
-                ),
-                checked,
-            )
-    return None, checked
+    psi = random_state(model.dim, stream(seed, model.name, "recip", t, "psi"))
+    g = stream(seed, model.name, "recip", t, "lam")
+    batch = model.ontic_space.reference_sampler(g, m)
+    in_core = np.asarray(model.respond.core(psi, batch, measurement_of(psi)), dtype=bool)
+    in_supp = np.asarray(model.prepare(psi).support(batch), dtype=bool)
+    return batch, [(in_core != in_supp, lambda i: {
+        "psi": _jsonable_array(psi.amplitudes),
+        "core": bool(in_core[i]),
+        "in_support": bool(in_supp[i]),
+    })]
 
 
-def _probe_determinism(model, n_trials, seed):
-    """Hunt for reference points where the response is not two-valued or
-    disagrees with its analytic core/support predicates."""
-    dim = model.dim
+def _determinism_trial(model, seed, t, m):
+    """Reference points where the response is not two-valued or disagrees
+    with its analytic core/support predicates."""
+    phi = random_state(model.dim, stream(seed, model.name, "det", t, "phi"))
+    g = stream(seed, model.name, "det", t, "lam")
+    batch = model.ontic_space.reference_sampler(g, m)
+    sm = measurement_of(phi)
     resp = model.respond
-    checked = 0
-    for t, m in enumerate(_trial_counts(n_trials)):
-        phi = random_state(dim, stream(seed, model.name, "det", t, "phi"))
-        batch = model.ontic_space.reference_sampler(
-            stream(seed, model.name, "det", t, "lam"), m
-        )
-        sm = measurement_of(phi)
-        vals = np.asarray(resp.evaluate(phi, batch, sm), dtype=float)
-        in_core = np.asarray(resp.core(phi, batch, sm), dtype=bool)
-        in_supp = np.asarray(resp.support(phi, batch, sm), dtype=bool)
-        binary = np.abs(vals - np.round(vals)) <= XI_TOL
-        core_ok = in_core == (vals >= 1.0 - XI_TOL)
-        supp_ok = in_supp == (vals > XI_TOL)
-        bad = np.flatnonzero(~(binary & core_ok & supp_ok))
-        checked += m
-        if bad.size:
-            i = int(bad[0])
-            which = (
-                "not-binary" if not binary[i]
-                else "core-mismatch" if not core_ok[i]
-                else "support-mismatch"
-            )
-            return (
-                _witness(
-                    "determinism", seed, model,
-                    {
-                        "trial": t, "row": i, "block_size": m,
-                        "failure": which,
-                        "phi": _jsonable_array(phi.amplitudes),
-                        "value": float(vals[i]),
-                        "point": point_to_jsonable(batch_take(batch, i)),
-                    },
-                ),
-                checked,
-            )
-    return None, checked
+    vals = np.asarray(resp.evaluate(phi, batch, sm), dtype=float)
+    in_core = np.asarray(resp.core(phi, batch, sm), dtype=bool)
+    in_supp = np.asarray(resp.support(phi, batch, sm), dtype=bool)
+    binary = np.abs(vals - np.round(vals)) <= XI_TOL
+    core_ok = in_core == (vals >= 1.0 - XI_TOL)
+    supp_ok = in_supp == (vals > XI_TOL)
+    return batch, [(~(binary & core_ok & supp_ok), lambda i: {
+        "failure": "not-binary" if not binary[i]
+        else "core-mismatch" if not core_ok[i]
+        else "support-mismatch",
+        "phi": _jsonable_array(phi.amplitudes),
+        "value": float(vals[i]),
+    })]
 
 
 def _complement_rotation(basis, outcome_index, rng):
@@ -960,59 +885,45 @@ def _complement_rotation(basis, outcome_index, rng):
     return tuple(out)
 
 
-def _probe_meas_context(model, n_trials, seed):
-    """Hunt for ontic points where the response to a fixed outcome changes
-    when the measurement payload changes: basis reordering, a phase on a
-    partner vector, or (d >= 3) a unitary rotation of the complement."""
+def _meas_context_trial(model, seed, t, m):
+    """Ontic points where the response to a fixed outcome changes when the
+    measurement payload changes: basis reordering, a phase on a partner
+    vector, or (d >= 3) a unitary rotation of the complement."""
     dim = model.dim
-    resp = model.respond
-    checked = 0
-    for t, m in enumerate(_trial_counts(n_trials, block=128)):
-        g = stream(seed, model.name, "ctx", t)
-        phi = random_state(dim, g)
-        basis = complete_basis(phi)
-        batch = model.ontic_space.reference_sampler(
-            stream(seed, model.name, "ctx", t, "lam"), m
-        )
-        base_sm = MeasContext(f"ctx:{t}:base", basis)
-        ref_vals = np.asarray(resp.evaluate(phi, batch, base_sm), dtype=float)
+    g = stream(seed, model.name, "ctx", t)
+    phi = random_state(dim, g)
+    basis = complete_basis(phi)
+    batch = model.ontic_space.reference_sampler(
+        stream(seed, model.name, "ctx", t, "lam"), m
+    )
 
-        variants = []
-        perm = list(range(dim))
-        g.shuffle(perm)
-        variants.append(("permutation", tuple(basis[i] for i in perm)))
-        phased = list(basis)
-        alpha = g.uniform(0, 2 * np.pi)
-        phased[-1] = PureState(np.exp(1j * alpha) * phased[-1].amplitudes)
-        variants.append(("phase", tuple(phased)))
-        if dim >= 3:
-            variants.append(("rotation", _complement_rotation(basis, 0, g)))
+    def values(variation, payload):
+        sm = MeasContext(f"ctx:{t}:{variation}", payload)
+        return np.asarray(model.respond.evaluate(phi, batch, sm), dtype=float)
 
-        checked += m
-        for kind, payload in variants:
-            sm = MeasContext(f"ctx:{t}:{kind}", payload)
-            vals = np.asarray(resp.evaluate(phi, batch, sm), dtype=float)
-            bad = np.flatnonzero(np.abs(vals - ref_vals) > XI_TOL)
-            if bad.size:
-                i = int(bad[0])
-                return (
-                    _witness(
-                        "measurement_context", seed, model,
-                        {
-                            "trial": t, "row": i, "block_size": m,
-                            "variation": kind,
-                            "phi": _jsonable_array(phi.amplitudes),
-                            "value_base": float(ref_vals[i]),
-                            "value_varied": float(vals[i]),
-                            "basis": [
-                                _jsonable_array(s.amplitudes) for s in payload
-                            ],
-                            "point": point_to_jsonable(batch_take(batch, i)),
-                        },
-                    ),
-                    checked,
-                )
-    return None, checked
+    ref_vals = values("base", basis)
+    perm = list(range(dim))
+    g.shuffle(perm)
+    variants = [("permutation", tuple(basis[i] for i in perm))]
+    phased = list(basis)
+    alpha = g.uniform(0, 2 * np.pi)
+    phased[-1] = PureState(np.exp(1j * alpha) * phased[-1].amplitudes)
+    variants.append(("phase", tuple(phased)))
+    if dim >= 3:
+        variants.append(("rotation", _complement_rotation(basis, 0, g)))
+
+    def check(variation, payload):
+        vals = values(variation, payload)
+        return np.abs(vals - ref_vals) > XI_TOL, lambda i: {
+            "variation": variation,
+            "phi": _jsonable_array(phi.amplitudes),
+            "value_base": float(ref_vals[i]),
+            "value_varied": float(vals[i]),
+            "basis": [_jsonable_array(s.amplitudes) for s in payload],
+        }
+
+    # Lazy, so a variant is evaluated only while the earlier ones pass.
+    return batch, (check(variation, payload) for variation, payload in variants)
 
 
 def fourier_basis(dim: int):
@@ -1125,6 +1036,27 @@ def _probe_prep_context(model, seed, engine=None):
     return None, tv
 
 
+def _funcdep_trial(model, seed, t, m):
+    """Ontic points whose response changes when the prepared state in the
+    register is swapped, at fixed outcome and measurement."""
+    g = stream(seed, model.name, "funcdep", t)
+    psi1 = random_state(model.dim, g)
+    psi2 = random_state(model.dim, g)
+    phi = random_state(model.dim, g)
+    sm = measurement_of(phi)
+    batch = model.prepare(psi1).sampler(stream(seed, model.name, "funcdep", t, "lam"), m)
+    swapped = model.replace_state_register(batch, psi2)
+    v1 = np.asarray(model.respond.evaluate(phi, batch, sm), dtype=float)
+    v2 = np.asarray(model.respond.evaluate(phi, swapped, sm), dtype=float)
+    return batch, [(np.abs(v1 - v2) > XI_TOL, lambda i: {
+        "psi_prepared": _jsonable_array(psi1.amplitudes),
+        "psi_swapped": _jsonable_array(psi2.amplitudes),
+        "phi": _jsonable_array(phi.amplitudes),
+        "value_before": float(v1[i]),
+        "value_after": float(v2[i]),
+    })]
+
+
 def functional_dependence_test(model, n_trials=512, seed=None) -> Status:
     """Does the response read the prepared state?
 
@@ -1150,39 +1082,22 @@ def functional_dependence_test(model, n_trials=512, seed=None) -> Status:
             "while the ontic state is held fixed",
         )
 
-    dim = model.dim
-    resp = model.respond
-    checked = 0
-    for t, m in enumerate(_trial_counts(n_trials, block=128)):
-        g = stream(seed, model.name, "funcdep", t)
-        psi1 = random_state(dim, g)
-        psi2 = random_state(dim, g)
-        phi = random_state(dim, g)
-        sm = measurement_of(phi)
-        mu = model.prepare(psi1)
-        batch = mu.sampler(stream(seed, model.name, "funcdep", t, "lam"), m)
-        swapped = model.replace_state_register(batch, psi2)
-        v1 = np.asarray(resp.evaluate(phi, batch, sm), dtype=float)
-        v2 = np.asarray(resp.evaluate(phi, swapped, sm), dtype=float)
-        bad = np.flatnonzero(np.abs(v1 - v2) > XI_TOL)
-        checked += m
-        if bad.size:
-            i = int(bad[0])
-            wit = _witness(
-                "functional_dependence", seed, model,
-                {
-                    "trial": t, "row": i, "block_size": m,
-                    "psi_prepared": _jsonable_array(psi1.amplitudes),
-                    "psi_swapped": _jsonable_array(psi2.amplitudes),
-                    "phi": _jsonable_array(phi.amplitudes),
-                    "value_before": float(v1[i]),
-                    "value_after": float(v2[i]),
-                    "point": point_to_jsonable(batch_take(batch, i)),
-                },
-            )
-            return Status("falsified", n_trials=checked, witness=wit)
-    declared_independent = not model.declared.psi_dependent_response
-    return _status(declared_independent, None, checked)
+    wit, checked = _run_probe("functional_dependence", model, n_trials, seed)
+    return _status(not model.declared.psi_dependent_response, wit, checked)
+
+
+# Probes whose trial inputs come from the seed alone: kind -> (trial, block).
+_SEEDED_PROBES = {
+    "reciprocity": (_reciprocity_trial, 256),
+    "determinism": (_determinism_trial, 256),
+    "measurement_context": (_meas_context_trial, 128),
+    "functional_dependence": (_funcdep_trial, 128),
+}
+
+
+def _run_probe(kind, model, n_trials, seed):
+    trial, block = _SEEDED_PROBES[kind]
+    return _scan(kind, model, seed, _block_sizes(n_trials, block), trial)
 
 
 @dataclass(frozen=True)
@@ -1204,7 +1119,15 @@ class ClassificationReport:
             and self.predicates["outcome_determinism"].holds
         )
 
-    def matches_declared(self, declared: DeclaredProperties) -> bool:
+    def mismatches(self, declared: DeclaredProperties) -> dict:
+        """Declared-vs-measured table of the predicates whose status
+        contradicts the declaration.
+
+        Declared-true properties must not be falsified, and declared-false
+        ones must be (not_falsified means the probes contradict the
+        declaration within budget), so a mismatch was declared to hold
+        exactly when its status is falsified.
+        """
         want = {
             "reciprocity": declared.reciprocal,
             "outcome_determinism": declared.outcome_deterministic,
@@ -1212,16 +1135,17 @@ class ClassificationReport:
             "preparation_noncontextuality": not declared.preparation_contextual,
             "response_state_independence": not declared.psi_dependent_response,
         }
-        for name, expect in want.items():
-            st = self.predicates[name]
-            if st.value == "not_applicable":
-                continue
-            # declared-true properties must not be falsified; declared-false
-            # ones must be (not_falsified means the probes contradict the
-            # declaration within budget)
-            if (st.value == "falsified") == expect:
-                return False
-        return True
+        return {
+            name: {
+                "declared": "holds" if st.value == "falsified" else "fails",
+                "measured": st.value,
+            }
+            for name, st in self.predicates.items()
+            if st.value != "not_applicable" and (st.value == "falsified") == want[name]
+        }
+
+    def matches_declared(self, declared: DeclaredProperties) -> bool:
+        return not self.mismatches(declared)
 
     def table_row(self) -> dict:
         return {
@@ -1264,9 +1188,9 @@ def classify(model, n_trials=4096, seed=None, prep_engine=None) -> Classificatio
     seed = DEFAULT_SEED if seed is None else int(seed)
     d = model.declared
 
-    recip_wit, n1 = _probe_reciprocity(model, n_trials, seed)
-    det_wit, n2 = _probe_determinism(model, n_trials, seed)
-    ctx_wit, n3 = _probe_meas_context(model, n_trials, seed)
+    recip_wit, n1 = _run_probe("reciprocity", model, n_trials, seed)
+    det_wit, n2 = _run_probe("determinism", model, n_trials, seed)
+    ctx_wit, n3 = _run_probe("measurement_context", model, n_trials, seed)
     prep_wit, tv = _probe_prep_context(model, seed, engine=prep_engine)
     func_status = functional_dependence_test(model, min(n_trials, 512), seed)
 
@@ -1367,136 +1291,33 @@ def _state_from_jsonable(data) -> PureState:
     return PureState(amps)
 
 
-def _point_from_jsonable(data):
-    def arr(d):
-        if isinstance(d, dict):
-            return np.asarray(d["re"]) + 1j * np.asarray(d["im"])
-        return np.asarray(d, dtype=float)
-
-    if isinstance(data, list) and data and isinstance(data[0], (dict, list)):
-        parts = [arr(p) for p in data]
-        if len(parts) > 1 or isinstance(data[0], dict):
-            return tuple(parts)
-    return arr(data)
+def _witness_trial(witness):
+    """The trial behind a sampled-probe witness: trial function, the
+    caller-given inputs it ran on, and the name of its trial coordinate."""
+    kind = witness["kind"]
+    if kind in _SEEDED_PROBES:
+        return _SEEDED_PROBES[kind][0], (), "trial"
+    if kind not in ("certainty", "support_chain"):
+        raise ValueError(f"unknown witness kind {kind!r}")
+    psi = _state_from_jsonable(witness["psi"])
+    if kind == "certainty":
+        basis = tuple(_state_from_jsonable(b) for b in witness["basis"])
+        return _certainty_trial, (psi, MeasContext("replay", basis)), "block"
+    if witness["stage"] == "core-not-support":
+        return _chain_ref_trial, (psi,), "block"
+    return _chain_mu_trial, (psi,), "block"
 
 
 def replay_witness(model, witness: dict) -> bool:
-    """Regenerate the draws behind a witness and re-check the violation.
+    """Rerun the trial behind a witness and re-check the violation.
 
-    Returns True when the stored point is reproduced bit-identically and
-    the violation recurs.  Streams are counter-based, so replay does not
-    depend on what else was computed in between.
+    Returns True when a check of the rerun trial still flags the stored
+    row and rebuilds the stored witness exactly, point included.  Streams
+    are counter-based, so replay does not depend on what else was computed
+    in between.
     """
     kind = witness["kind"]
     seed = witness["seed"]
-    if kind == "certainty":
-        psi = _state_from_jsonable(witness["psi"])
-        sm = measurement_of(psi)
-        if "atom" in witness:
-            mu = model.prepare(psi)
-            atoms, _ = mu.point_masses
-            batch = batch_take(atoms, witness["atom"])
-        else:
-            mu, blk = _mu_block(
-                model, psi, None, seed, "certainty",
-                witness["block"], witness["block_size"],
-            )
-            batch = batch_take(blk, witness["row"])
-        if not points_equal(batch, _point_from_jsonable(witness["point"])):
-            return False
-        val = float(np.asarray(model.respond.evaluate(psi, batch, sm))[0])
-        return val < 1.0 - XI_TOL
-
-    if kind == "support_chain":
-        psi = _state_from_jsonable(witness["psi"])
-        sm = measurement_of(psi)
-        stage = witness["stage"]
-        if stage == "core-not-support":
-            blk = _ref_block(
-                model, seed, "chain-ref", witness["block"], witness["block_size"]
-            )
-        else:
-            _, blk = _mu_block(
-                model, psi, None, seed, "chain-mu",
-                witness["block"], witness["block_size"],
-            )
-        batch = batch_take(blk, witness["row"])
-        if not points_equal(batch, _point_from_jsonable(witness["point"])):
-            return False
-        mu = model.prepare(psi)
-        in_core = bool(np.asarray(model.respond.core(psi, batch, sm))[0])
-        if stage == "core-not-support":
-            in_supp = bool(np.asarray(model.respond.support(psi, batch, sm))[0])
-            return in_core and not in_supp
-        return not (bool(np.asarray(mu.support(batch))[0]) and in_core)
-
-    if kind == "reciprocity":
-        t, i, m = witness["trial"], witness["row"], witness["block_size"]
-        psi = random_state(model.dim, stream(seed, model.name, "recip", t, "psi"))
-        blk = model.ontic_space.reference_sampler(
-            stream(seed, model.name, "recip", t, "lam"), m
-        )
-        batch = batch_take(blk, i)
-        if not points_equal(batch, _point_from_jsonable(witness["point"])):
-            return False
-        sm = measurement_of(psi)
-        in_core = bool(np.asarray(model.respond.core(psi, batch, sm))[0])
-        in_supp = bool(np.asarray(model.prepare(psi).support(batch))[0])
-        return in_core != in_supp
-
-    if kind == "determinism":
-        t, i, m = witness["trial"], witness["row"], witness["block_size"]
-        phi = random_state(model.dim, stream(seed, model.name, "det", t, "phi"))
-        blk = model.ontic_space.reference_sampler(
-            stream(seed, model.name, "det", t, "lam"), m
-        )
-        batch = batch_take(blk, i)
-        if not points_equal(batch, _point_from_jsonable(witness["point"])):
-            return False
-        sm = measurement_of(phi)
-        val = float(np.asarray(model.respond.evaluate(phi, batch, sm))[0])
-        in_core = bool(np.asarray(model.respond.core(phi, batch, sm))[0])
-        in_supp = bool(np.asarray(model.respond.support(phi, batch, sm))[0])
-        return (
-            abs(val - round(val)) > XI_TOL
-            or in_core != (val >= 1.0 - XI_TOL)
-            or in_supp != (val > XI_TOL)
-        )
-
-    if kind == "measurement_context":
-        t, i, m = witness["trial"], witness["row"], witness["block_size"]
-        phi = _state_from_jsonable(witness["phi"])
-        blk = model.ontic_space.reference_sampler(
-            stream(seed, model.name, "ctx", t, "lam"), m
-        )
-        batch = batch_take(blk, i)
-        if not points_equal(batch, _point_from_jsonable(witness["point"])):
-            return False
-        base_sm = MeasContext("replay:base", complete_basis(phi))
-        varied = MeasContext(
-            "replay:varied",
-            tuple(_state_from_jsonable(b) for b in witness["basis"]),
-        )
-        v0 = float(np.asarray(model.respond.evaluate(phi, batch, base_sm))[0])
-        v1 = float(np.asarray(model.respond.evaluate(phi, batch, varied))[0])
-        return abs(v0 - v1) > XI_TOL
-
-    if kind == "functional_dependence":
-        t, i, m = witness["trial"], witness["row"], witness["block_size"]
-        psi1 = _state_from_jsonable(witness["psi_prepared"])
-        psi2 = _state_from_jsonable(witness["psi_swapped"])
-        phi = _state_from_jsonable(witness["phi"])
-        mu = model.prepare(psi1)
-        blk = mu.sampler(stream(seed, model.name, "funcdep", t, "lam"), m)
-        batch = batch_take(blk, i)
-        if not points_equal(batch, _point_from_jsonable(witness["point"])):
-            return False
-        sm = measurement_of(phi)
-        swapped = model.replace_state_register(batch, psi2)
-        v1 = float(np.asarray(model.respond.evaluate(phi, batch, sm))[0])
-        v2 = float(np.asarray(model.respond.evaluate(phi, swapped, sm))[0])
-        return abs(v1 - v2) > XI_TOL
-
     if kind == "max_epistemic":
         phi = _state_from_jsonable(witness["phi"])
         psi = _state_from_jsonable(witness["psi"])
@@ -1505,10 +1326,14 @@ def replay_witness(model, witness: dict) -> bool:
         return est.value + est.tolerance < 1.0
 
     if kind == "preparation_context":
-        ctx_a, ctx_b = canonical_mix_contexts(model.dim)
-        rho = mix(ctx_a.payload)
-        engine = default_engine(model, for_densities=True)
-        tv = prep_context_distance(model, rho, ctx_a, ctx_b, engine)
+        _, tv = _probe_prep_context(model, seed)
         return tv > witness["threshold"]
 
-    raise ValueError(f"unknown witness kind {kind!r}")
+    trial, inputs, index = _witness_trial(witness)
+    t, i, m = witness[index], witness["row"], witness["block_size"]
+    batch, checks = trial(model, seed, t, m, *inputs)
+    return any(
+        bad[i]
+        and _trial_witness(kind, seed, model, index, t, m, batch, i, fields) == witness
+        for bad, fields in checks
+    )

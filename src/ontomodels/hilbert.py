@@ -75,20 +75,6 @@ def basis_state(dim: int, k: int) -> PureState:
 
 
 @dataclass(frozen=True)
-class Projector:
-    """Rank-one projector |phi><phi| onto a ray."""
-
-    target: PureState
-
-    @property
-    def dim(self) -> int:
-        return self.target.dim
-
-    def matrix(self) -> np.ndarray:
-        return self.target.projector_matrix()
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite matrix."""
 

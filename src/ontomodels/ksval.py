@@ -224,6 +224,15 @@ def _parallel(u: Sequence[Surd], v: Sequence[Surd]) -> bool:
     return True
 
 
+def _first_parallel_pair(vectors):
+    """Indices (i, j), i < j, of the first parallel pair in row order, or None."""
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            if _parallel(vectors[i], vectors[j]):
+                return i, j
+    return None
+
+
 def validate_vector_set(vset: VectorSet) -> None:
     """Reject zero vectors and parallel (or duplicate) rays."""
     if vset.dim < 2:
@@ -233,13 +242,10 @@ def validate_vector_set(vset: VectorSet) -> None:
             raise ValueError(f"vector {k} has {len(vec)} components, expected {vset.dim}")
         if all(c.is_zero for c in vec):
             raise ValueError(f"vector {k} is zero")
-    n = len(vset.vectors)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _parallel(vset.vectors[i], vset.vectors[j]):
-                raise ValueError(
-                    f"parallel rays: {vset.labels[i]} and {vset.labels[j]}"
-                )
+    pair = _first_parallel_pair(vset.vectors)
+    if pair is not None:
+        i, j = pair
+        raise ValueError(f"parallel rays: {vset.labels[i]} and {vset.labels[j]}")
 
 
 _HEADER = re.compile(r"dim\s*=\s*(\d+)\s+radical\s*=\s*(\d+)")
@@ -283,14 +289,12 @@ def load_vector_set(path) -> VectorSet:
         raise VectorFileError("missing header line", path)
     if not vectors:
         raise VectorFileError("no vectors after header", path)
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if _parallel(vectors[i], vectors[j]):
-                raise VectorFileError(
-                    f"parallel rays at lines {line_of[i]} and {line_of[j]}",
-                    path,
-                    line_of[j],
-                )
+    pair = _first_parallel_pair(vectors)
+    if pair is not None:
+        i, j = pair
+        raise VectorFileError(
+            f"parallel rays at lines {line_of[i]} and {line_of[j]}", path, line_of[j]
+        )
     labels = tuple(f"v{k}" for k in range(len(vectors)))
     return VectorSet(dim, radical, tuple(vectors), labels)
 

@@ -19,11 +19,12 @@ from ontomodels.hilbert import (
     Decomposition,
     DensityOperator,
     basis_state,
+    complete_basis,
     mix,
     random_state,
     state,
 )
-from ontomodels.zoo import make_bb, make_bell2, make_ks, make_ws
+from ontomodels.zoo import get_model, make_bb, make_bell2, make_ks, make_ws
 
 QUAD = parse_engine("quad:17")
 CLOSED = parse_engine("closed")
@@ -172,6 +173,27 @@ class TestCertaintyAndChain:
         assert not res.passed
         assert fw.replay_witness(broken, res.witness)
 
+    def test_certainty_witness_replays_under_its_own_context(self):
+        # The response halves unless the outcome leads the basis, so the
+        # failure shows only under the caller's reordered basis; replay
+        # must reuse that basis, not the default completion of psi.
+        ks = make_ks()
+        inner = ks.respond.evaluate
+
+        def evaluate(phi, pts, sm):
+            lead = sm.payload[0].same_ray(phi, atol=1e-12)
+            return inner(phi, pts, sm) * (1.0 if lead else 0.5)
+
+        model = dataclasses.replace(
+            ks, respond=dataclasses.replace(ks.respond, evaluate=evaluate)
+        )
+        psi = state(1, 1)
+        b = complete_basis(psi)
+        sm = fw.MeasContext("swapped", (b[1], b[0]))
+        res = fw.check_quantum_certainty(model, psi, sm=sm, n_samples=2000, seed=4)
+        assert not res.passed
+        assert fw.replay_witness(model, res.witness)
+
     def test_tampered_witness_replay_fails(self):
         broken = shrunken_core_ks()
         res = fw.check_quantum_certainty(broken, state(1, 1), n_samples=2000, seed=4)
@@ -294,6 +316,95 @@ class TestClassify:
                 a.predicates["outcome_determinism"].holds
                 == b.predicates["outcome_determinism"].holds
             )
+
+
+WITNESS_COORDS = (
+    "kind", "trial", "block", "row", "block_size", "variation", "failure", "stage",
+)
+
+
+def witness_coords(witness):
+    """The integer and string fields of a witness: where the probe found
+    its counterexample, independent of floating-point detail."""
+    if witness is None:
+        return None
+    return {k: witness[k] for k in WITNESS_COORDS if k in witness}
+
+
+CONFIRMED = ("confirmed_analytic", None)
+PREP_CONTEXT = ("falsified", {"kind": "preparation_context"})
+
+GOLDEN_CLASSIFY = {
+    "bb:3": {
+        "reciprocity": CONFIRMED,
+        "outcome_determinism": ("falsified", {
+            "kind": "determinism", "trial": 0, "row": 0, "block_size": 256,
+            "failure": "not-binary",
+        }),
+        "measurement_noncontextuality": CONFIRMED,
+        "preparation_noncontextuality": PREP_CONTEXT,
+        "response_state_independence": ("not_applicable", None),
+    },
+    "ks": {
+        "reciprocity": CONFIRMED,
+        "outcome_determinism": CONFIRMED,
+        "measurement_noncontextuality": CONFIRMED,
+        "preparation_noncontextuality": PREP_CONTEXT,
+        "response_state_independence": CONFIRMED,
+    },
+    "bell2": {
+        "reciprocity": ("falsified", {
+            "kind": "reciprocity", "trial": 0, "row": 1, "block_size": 256,
+        }),
+        "outcome_determinism": CONFIRMED,
+        "measurement_noncontextuality": CONFIRMED,
+        "preparation_noncontextuality": PREP_CONTEXT,
+        "response_state_independence": ("falsified", {
+            "kind": "functional_dependence", "trial": 0, "row": 4, "block_size": 128,
+        }),
+    },
+    "ws:3": {
+        "reciprocity": ("falsified", {
+            "kind": "reciprocity", "trial": 0, "row": 1, "block_size": 256,
+        }),
+        "outcome_determinism": CONFIRMED,
+        "measurement_noncontextuality": ("falsified", {
+            "kind": "measurement_context", "trial": 0, "row": 5, "block_size": 128,
+            "variation": "rotation",
+        }),
+        "preparation_noncontextuality": PREP_CONTEXT,
+        "response_state_independence": ("falsified", {
+            "kind": "functional_dependence", "trial": 0, "row": 1, "block_size": 128,
+        }),
+    },
+}
+
+
+class TestWitnessGolden:
+    """Pinned statuses and witness coordinates at fixed seeds."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CLASSIFY))
+    def test_classify(self, name):
+        rep = fw.classify(get_model(name), n_trials=1024, seed=11)
+        got = {
+            pred: (st.value, witness_coords(st.witness))
+            for pred, st in rep.predicates.items()
+        }
+        assert got == GOLDEN_CLASSIFY[name]
+
+    def test_shrunken_core_checks(self):
+        broken = shrunken_core_ks()
+        cert = fw.check_quantum_certainty(broken, state(1, 1), n_samples=2000, seed=4)
+        assert (cert.passed, cert.n_samples) == (False, 2000)
+        assert witness_coords(cert.witness) == {
+            "kind": "certainty", "block": 0, "row": 0, "block_size": 2000,
+        }
+        chain = fw.check_support_chain(broken, state(1, 1), n_samples=2000, seed=4)
+        assert (chain.passed, chain.n_samples) == (False, 2000)
+        assert witness_coords(chain.witness) == {
+            "kind": "support_chain", "block": 0, "row": 1, "block_size": 2000,
+            "stage": "core",
+        }
 
 
 class TestFunctionalDependence:
