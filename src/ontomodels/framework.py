@@ -674,7 +674,7 @@ def check_support_chain(model, psi, n_samples=10_000, seed=None) -> CheckResult:
 # Overlap fraction and maximal psi-epistemicity
 
 
-def overlap_fraction(model, phi, psi, engine, sp=None) -> Estimate:
+def overlap_fraction(model, phi, psi, engine) -> Estimate:
     """Mass the psi-state places on the phi-preparation support, divided
     by the Born probability.  Equal to 1 for every non-orthogonal pair
     exactly when the model is maximally psi-epistemic."""
@@ -684,7 +684,7 @@ def overlap_fraction(model, phi, psi, engine, sp=None) -> Estimate:
     born = born_probability(phi, psi)
     if born <= EXACT_TOL:
         raise OrthogonalPairError("overlap fraction undefined for orthogonal pair")
-    mu_psi = model.prepare(psi, sp)
+    mu_psi = model.prepare(psi)
     lam_phi = model.prepare(phi).support
 
     if mu_psi.point_masses is not None:

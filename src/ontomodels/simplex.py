@@ -7,6 +7,12 @@ Infeasible systems return a Farkas multiplier vector that verify_farkas
 re-checks by direct arithmetic; in float mode all comparisons use a
 feasibility tolerance, in exact mode every entry is a Fraction and the
 tolerance is zero.
+
+The tableau is one 2-D numpy array: float64 in float mode, an object
+array of Fractions in exact mode.  A pivot is a rank-1 update of the rows
+whose pivot-column entry is nonzero, each entry computed as a - f*b in
+two rounded operations, so the float path takes the same pivots with the
+same bits as an entry-by-entry loop would.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 FEAS_TOL = 1e-9
 
@@ -62,35 +70,7 @@ class LPResult:
     x: Optional[tuple] = None
     farkas: Optional[tuple] = None  # multipliers, eq rows first then ub rows
     certificate_ok: Optional[bool] = None
-
-
-def _standardize(lp: LinearProgram, conv):
-    """All rows as equalities with slacks, b >= 0; returns (rows, b, flips)."""
-    n = lp.n_vars
-    n_ub = len(lp.ub_rows)
-    rows = []
-    rhs = []
-    for coeffs, b in lp.eq_rows:
-        rows.append([conv(v) for v in coeffs] + [conv(0)] * n_ub)
-        rhs.append(conv(b))
-    for k, (coeffs, b) in enumerate(lp.ub_rows):
-        slack = [conv(0)] * n_ub
-        slack[k] = conv(1)
-        rows.append([conv(v) for v in coeffs] + slack)
-        rhs.append(conv(b))
-    flips = []
-    for i, b in enumerate(rhs):
-        if b < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -b
-            flips.append(-1)
-        else:
-            flips.append(1)
-    return rows, rhs, flips
-
-
-def _conv_float(v):
-    return float(v)
+    pivots: tuple = (0, 0)  # Bland pivots taken in (phase 1, phase 2)
 
 
 def _conv_exact(v):
@@ -99,133 +79,146 @@ def _conv_exact(v):
     return Fraction(v)
 
 
+_to_fractions = np.frompyfunc(_conv_exact, 1, 1)
+
+
+def _array(values, exact):
+    """Nested lists as float64, or in exact mode as an array of Fractions."""
+    if not exact:
+        return np.array(values, dtype=float)
+    return _to_fractions(np.array(values, dtype=object))
+
+
+def _rows(lp: LinearProgram, exact):
+    """Constraint matrix and right-hand side, eq rows first then ub rows."""
+    rows = lp.eq_rows + lp.ub_rows
+    a = _array([coeffs for coeffs, _ in rows], exact).reshape(len(rows), lp.n_vars)
+    return a, _array([b for _, b in rows], exact)
+
+
+def _standardize(lp: LinearProgram, exact):
+    """All rows as equalities with slacks, b >= 0; returns (A, b, flips)."""
+    a, b = _rows(lp, exact)
+    slack = np.eye(len(b), len(lp.ub_rows), -len(lp.eq_rows), dtype=int)
+    a = np.hstack([a, _array([0, 1], exact)[slack]])
+    neg = b < 0
+    a[neg] = -a[neg]
+    b[neg] = -b[neg]
+    return a, b, np.where(neg, -1, 1)
+
+
 class _Tableau:
-    def __init__(self, rows, rhs, n_struct, tol):
-        self.m = len(rows)
-        self.n_struct = n_struct  # structural columns: vars + slacks
+    def __init__(self, a, b, tol):
+        self.m, self.n_struct = a.shape  # structural columns: vars + slacks
         self.tol = tol
         # columns: structural, then one artificial per row, then rhs
-        self.width = n_struct + self.m
-        self.rows = []
-        for i, row in enumerate(rows):
-            zero = rhs[i] * 0
-            art = [zero] * self.m
-            art[i] = zero + 1
-            self.rows.append(list(row) + art + [rhs[i]])
-        self.basis = [n_struct + i for i in range(self.m)]
+        self.width = self.n_struct + self.m
+        zero = b * 0
+        art = np.repeat(zero[:, None], self.m, axis=1)
+        np.fill_diagonal(art, zero + 1)
+        self.t = np.hstack([a, art, b[:, None]])
+        self.basis = list(range(self.n_struct, self.width))
         self.obj = None  # set per phase, length width + 1
 
     def set_objective(self, costs):
         # reduced-cost row for maximization; obj[-1] tracks -(current value)
-        zero = costs[0] * 0 if costs else 0
-        self.obj = list(costs) + [zero]
+        self.obj = np.append(costs, costs[0] * 0 if len(costs) else self.tol * 0)
         for i, col in enumerate(self.basis):
             f = self.obj[col]
             if f:
-                row = self.rows[i]
-                self.obj = [a - f * b for a, b in zip(self.obj, row)]
+                self.obj = self.obj - f * self.t[i]
 
     def value(self):
-        return -self.obj[-1]
+        return -self.obj[-1:].item()
 
     def pivot(self, r, c):
-        row = self.rows[r]
-        piv = row[c]
-        self.rows[r] = row = [v / piv for v in row]
-        for i in range(self.m):
-            if i != r:
-                f = self.rows[i][c]
-                if f:
-                    self.rows[i] = [a - f * b for a, b in zip(self.rows[i], row)]
+        self.t[r] = row = self.t[r] / self.t[r, c]
+        col = self.t[:, c]
+        nz = np.flatnonzero(col)
+        nz = nz[nz != r]
+        self.t[nz] = self.t[nz] - np.multiply.outer(col[nz], row)
         f = self.obj[c]
         if f:
-            self.obj = [a - f * b for a, b in zip(self.obj, row)]
+            self.obj = self.obj - f * row
         self.basis[r] = c
 
-    def run(self, allowed_cols, max_iters):
-        """Bland's rule loop; returns 'optimal' or 'unbounded'."""
-        for _ in range(max_iters):
-            enter = -1
-            for j in allowed_cols:
-                if self.obj[j] > self.tol:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
+    def run(self, n_allowed, max_iters):
+        """Bland's rule loop; returns ('optimal' or 'unbounded', pivots taken)."""
+        for pivots in range(max_iters):
+            enter = np.flatnonzero(self.obj[:n_allowed] > self.tol)
+            if not enter.size:
+                return "optimal", pivots
+            enter = int(enter[0])
+            col = self.t[:, enter]
+            cand = np.flatnonzero(col > self.tol)
             leave = -1
             best = None
-            for i in range(self.m):
-                a = self.rows[i][enter]
-                if a > self.tol:
-                    ratio = self.rows[i][-1] / a
-                    if (
-                        best is None
-                        or ratio < best - self.tol
-                        or (abs(ratio - best) <= self.tol
-                            and self.basis[i] < self.basis[leave])
-                    ):
-                        best = ratio
-                        leave = i
+            for i, a, rhs in zip(
+                cand.tolist(), col[cand].tolist(), self.t[cand, -1].tolist()
+            ):
+                ratio = rhs / a
+                if (
+                    best is None
+                    or ratio < best - self.tol
+                    or (abs(ratio - best) <= self.tol
+                        and self.basis[i] < self.basis[leave])
+                ):
+                    best = ratio
+                    leave = i
             if leave < 0:
-                return "unbounded"
+                return "unbounded", pivots
             self.pivot(leave, enter)
         raise LPError("simplex iteration limit exceeded")
 
     def solution(self, n_vars):
-        x = [self.obj[0] * 0] * self.n_struct
-        for i, col in enumerate(self.basis):
-            if col < self.n_struct:
-                x[col] = self.rows[i][-1]
-        return tuple(x[:n_vars])
+        x = np.full(self.n_struct, self.obj[0] * 0, dtype=self.t.dtype)
+        basis = np.array(self.basis, dtype=int)
+        basic = basis < self.n_struct
+        x[basis[basic]] = self.t[basic, -1]
+        return tuple(x[:n_vars].tolist())
 
 
 def simplex_solve(lp: LinearProgram, exact: bool = False) -> LPResult:
     """Two-phase simplex; in exact mode all arithmetic is over Fractions."""
-    conv = _conv_exact if exact else _conv_float
     tol = Fraction(0) if exact else FEAS_TOL
-    zero = conv(0)
-    rows, rhs, flips = _standardize(lp, conv)
+    a, b, flips = _standardize(lp, exact)
+    tab = _Tableau(a, b, tol)
     n = lp.n_vars
-    n_struct = n + len(lp.ub_rows)
-    m = len(rows)
-    tab = _Tableau(rows, rhs, n_struct, tol)
+    m, n_struct = tab.m, tab.n_struct
     max_iters = 5000 + 200 * (m + n_struct)
 
     # phase 1: drive the artificial variables to zero
-    phase1_costs = [zero] * n_struct + [conv(-1)] * m
-    tab.set_objective(phase1_costs)
-    status = tab.run(range(n_struct + m), max_iters)
+    tab.set_objective(np.repeat(_array([0, -1], exact), [n_struct, m]))
+    status, p1 = tab.run(n_struct + m, max_iters)
     if status != "optimal":  # cannot happen: phase-1 objective is bounded
         raise LPError("phase 1 reported unbounded")
     if tab.value() < -tol:
         # infeasible: extract Farkas multipliers from the artificial columns
-        y_std = [conv(-1) - tab.obj[n_struct + i] for i in range(m)]
-        y = tuple(f * v for f, v in zip(flips, y_std))
+        y = tuple((flips * (-1 - tab.obj[n_struct:n_struct + m])).tolist())
         ok = verify_farkas(lp, y, 0.0 if exact else FEAS_TOL, exact=exact)
-        return LPResult(status="infeasible", farkas=y, certificate_ok=ok)
+        return LPResult(
+            status="infeasible", farkas=y, certificate_ok=ok, pivots=(p1, 0)
+        )
 
     # pivot any leftover artificial out of the basis; drop redundant rows
     for i in range(tab.m - 1, -1, -1):
         if tab.basis[i] >= n_struct:
-            piv_col = -1
-            for j in range(n_struct):
-                if abs(tab.rows[i][j]) > tol:
-                    piv_col = j
-                    break
-            if piv_col >= 0:
-                tab.pivot(i, piv_col)
+            cols = np.flatnonzero(abs(tab.t[i, :n_struct]) > tol)
+            if cols.size:
+                tab.pivot(i, int(cols[0]))
             else:
-                del tab.rows[i]
+                tab.t = np.delete(tab.t, i, axis=0)
                 del tab.basis[i]
                 tab.m -= 1
 
     # phase 2: the real objective; artificial columns stay banned from entry
-    phase2_costs = [conv(v) for v in lp.objective] + [zero] * (tab.width - n)
-    tab.set_objective(phase2_costs)
-    status = tab.run(range(n_struct), max_iters)
+    tab.set_objective(_array(list(lp.objective) + [0] * (tab.width - n), exact))
+    status, p2 = tab.run(n_struct, max_iters)
     if status == "unbounded":
-        return LPResult(status="unbounded")
-    return LPResult(status="optimal", value=tab.value(), x=tab.solution(n))
+        return LPResult(status="unbounded", pivots=(p1, p2))
+    return LPResult(
+        status="optimal", value=tab.value(), x=tab.solution(n), pivots=(p1, p2)
+    )
 
 
 def verify_farkas(lp: LinearProgram, y, tol: float = FEAS_TOL, exact: bool = False) -> bool:
@@ -235,21 +228,12 @@ def verify_farkas(lp: LinearProgram, y, tol: float = FEAS_TOL, exact: bool = Fal
     when y >= 0 on the ub rows, y.A_j >= 0 for every variable column j, and
     y.b < 0: a feasible x >= 0 would force 0 <= y.Ax <= y.b < 0.
     """
-    conv = _conv_exact if exact else _conv_float
-    rows = [coeffs for coeffs, _ in lp.eq_rows] + [c for c, _ in lp.ub_rows]
-    rhs = [b for _, b in lp.eq_rows] + [b for _, b in lp.ub_rows]
-    if len(y) != len(rows):
+    if len(y) != len(lp.eq_rows) + len(lp.ub_rows):
         return False
-    y = [conv(v) for v in y]
-    n_eq = len(lp.eq_rows)
-    # columns of the standardized system: structural variables...
-    for j in range(lp.n_vars):
-        col = sum(y[i] * conv(rows[i][j]) for i in range(len(rows)))
-        if col < -tol:
-            return False
-    # ...and slack columns: multiplier of an ub row must be >= 0
-    for i in range(n_eq, len(rows)):
-        if y[i] < -tol:
-            return False
-    yb = sum(y[i] * conv(rhs[i]) for i in range(len(rows)))
-    return yb < -tol
+    a, b = _rows(lp, exact)
+    y = _array(list(y), exact)
+    # columns of the standardized system: structural variables, then the
+    # slack columns, where the multiplier of an ub row must be >= 0
+    if np.any(y @ a < -tol) or np.any(y[len(lp.eq_rows):] < -tol):
+        return False
+    return bool(y @ b < -tol)

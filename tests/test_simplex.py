@@ -10,6 +10,7 @@ from ontomodels.simplex import (
     FEAS_TOL,
     LinearProgram,
     LPError,
+    _Tableau,
     simplex_solve,
     verify_farkas,
 )
@@ -83,10 +84,13 @@ def test_exact_mode_returns_fractions():
 
 
 def test_exact_mode_rejects_floats():
-    lp = LinearProgram(1, [0.5])
-    lp.add_ub([1], 1)
-    with pytest.raises(LPError, match="exact mode"):
-        simplex_solve(lp, exact=True)
+    # a float or numpy float in the objective, in a row, or on the rhs
+    for bad in (0.5, np.float64(0.5)):
+        for objective, row, rhs in ([bad], [1], 1), ([1], [bad], 1), ([1], [1], bad):
+            lp = LinearProgram(1, objective)
+            lp.add_ub(row, rhs)
+            with pytest.raises(LPError, match="exact mode"):
+                simplex_solve(lp, exact=True)
 
 
 def test_exact_infeasible_certificate():
@@ -183,3 +187,109 @@ def test_random_programs_float_and_exact_agree():
             assert approx.value == pytest.approx(float(exact.value), abs=1e-7)
         if exact.status == "infeasible":
             assert exact.certificate_ok and approx.certificate_ok
+
+
+# ---------------------------------------------------------------------------
+# Array shapes and corner paths of the tableau
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_no_rows_unbounded_or_optimal(exact):
+    up = LinearProgram(2, [1, 0])
+    res = simplex_solve(up, exact=exact)
+    assert res.status == "unbounded"
+    assert res.pivots == (0, 0)
+    down = LinearProgram(2, [-1, 0])
+    res = simplex_solve(down, exact=exact)
+    assert res.status == "optimal"
+    assert res.value == 0 and res.x == (0, 0)
+    assert res.pivots == (0, 0)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_redundant_equality_row_is_dropped(exact):
+    # the second row repeats the first: its artificial stays basic at zero
+    # with an all-zero structural part, so phase 2 runs without that row
+    lp = LinearProgram(2, [1, 2])
+    lp.add_eq([1, 1], 1)
+    lp.add_eq([1, 1], 1)
+    lp.add_ub([1, 0], Fraction(1, 2))
+    res = simplex_solve(lp, exact=exact)
+    assert res.status == "optimal"
+    assert res.value == 2 and res.x == (0, 1)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_ratio_tie_leaves_the_smallest_basic_index(exact):
+    # entering column 0 meets ratio 1 in both rows; row 1 holds basic
+    # column 1, row 0 basic column 2, so Bland's rule makes row 1 leave
+    num = Fraction if exact else float
+    a = np.array([[num(1), num(0), num(1)], [num(1), num(1), num(0)]],
+                 dtype=object if exact else float)
+    # in float mode the second ratio is off by less than the tolerance
+    b = np.array([num(1), num(1) + (0 if exact else 1e-12)], dtype=a.dtype)
+    tab = _Tableau(a, b, Fraction(0) if exact else FEAS_TOL)
+    tab.basis = [2, 1]
+    tab.set_objective(np.array([num(1)] + [num(0)] * 4, dtype=a.dtype))
+    assert tab.run(3, 10) == ("optimal", 1)
+    assert tab.basis == [2, 0]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_results_hold_plain_python_numbers(exact):
+    scalar = Fraction if exact else float
+    lp = LinearProgram(2, [1, 1])
+    lp.add_eq([1, -1], 0)
+    lp.add_ub([1, 1], 1)
+    res = simplex_solve(lp, exact=exact)
+    assert type(res.value) is scalar
+    assert all(type(v) is scalar for v in res.x)
+    assert all(type(p) is int for p in res.pivots)
+    empty = simplex_solve(LinearProgram(0, []), exact=exact)
+    assert type(empty.value) is scalar and empty.x == ()
+    bad = LinearProgram(1, [1])
+    bad.add_ub([-1], -2)
+    bad.add_ub([1], 1)
+    res = simplex_solve(bad, exact=exact)
+    assert res.status == "infeasible"
+    assert all(type(v) is scalar for v in res.farkas)
+    assert res.certificate_ok is True
+
+
+# ---------------------------------------------------------------------------
+# verify_farkas rejects every broken certificate
+
+
+def _infeasible_lp():
+    """x >= 2 and x <= 1, a free eq row on z, and the trivial row 0 <= 1."""
+    lp = LinearProgram(2, [1, 1])
+    lp.add_eq([0, 1], 0)
+    lp.add_ub([-1, 0], -2)
+    lp.add_ub([1, 0], 1)
+    lp.add_ub([0, 0], 1)
+    return lp
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_farkas_rejects_broken_certificates(exact):
+    lp = _infeasible_lp()
+    tol = 0.0 if exact else FEAS_TOL
+    res = simplex_solve(lp, exact=exact)
+    assert res.status == "infeasible" and res.certificate_ok
+    y = list(res.farkas)
+    assert verify_farkas(lp, y, tol, exact=exact)
+
+    def check(z):
+        return verify_farkas(lp, z, tol, exact=exact)
+
+    assert not check([-v for v in y])
+    # a negative multiplier on the trivial ub row leaves y.A alone and
+    # makes y.b more negative: only the sign check can reject it
+    assert not check(y[:3] + [-1])
+    yb = sum(v * b for v, (_, b) in zip(y, lp.eq_rows + lp.ub_rows))
+    assert not check(y[:3] + [y[3] - yb])  # y.b == 0
+    assert not check(y[:3] + [y[3] - yb + 1])  # y.b > 0
+    # the eq multiplier is free in sign, but not once y.A_z turns negative
+    assert check([y[0] + 1] + y[1:])
+    assert not check([-1] + y[1:])
+    assert not check([0 * v for v in y])
