@@ -407,56 +407,64 @@ def enumerate_atoms(fragment: Fragment, rays: Optional[FragmentRays] = None):
 
 
 # ---------------------------------------------------------------------------
-# Born tables and LP scaffolding
+# The atom-by-ray table both LPs are cut from
 
 
-def _zero(exact: bool):
-    return Fraction(0) if exact else 0.0
+@dataclass(frozen=True)
+class _AtomTable:
+    """A fragment's atoms as the rows of one 0/1 matrix over its rays.
+
+    ``val[a, r]`` is atom a's answer to measured ray r.  ``admissible[i, a]``
+    says whether state i may use atom a: a must answer the state's own ray
+    with 1, unless the state is never measured.  The LPs' weight variables
+    are the true entries of ``admissible`` in row-major order.
+    """
+
+    rays: FragmentRays
+    atoms: list
+    val: np.ndarray
+    admissible: np.ndarray
+
+    def rows(self, first: int, cells) -> np.ndarray:
+        """0/1 LP rows, one per (state i, ray r) cell: 1 on i's weight
+        variables whose atom answers r with 1 (all of them if r is None).
+        Weight variables start at column ``first``."""
+        state, atom = np.nonzero(self.admissible)
+        out = np.zeros((len(cells), first + len(atom)), dtype=int)
+        for row, (i, r) in zip(out, cells):
+            hit = state == i
+            if r is not None:
+                hit &= self.val[atom, r] == 1
+            row[first:] = hit
+        return out
+
+    def weights(self, x, exact: bool) -> np.ndarray:
+        """Weight variables x as a states x atoms array."""
+        w = np.full(self.admissible.shape, Fraction(0) if exact else 0.0)
+        w[self.admissible] = x
+        return w
+
+    def mass(self, w_row, r):
+        """Weight on atoms answering ray r, summed in atom order (bit-stable)."""
+        return sum(w_row[self.val[:, r] == 1].tolist())
 
 
-def _born_state_basis(frag: Fragment):
-    """borns[i][b][k] = probability of basis b outcome k on state i."""
-    out = []
-    for i in range(len(frag.states)):
-        per_basis = []
-        for b in range(len(frag.bases)):
-            if frag.exact:
-                row = tuple(
-                    _exact_born(frag.exact_bases[b][k], frag.exact_states[i])
-                    for k in range(frag.dim)
-                )
-            else:
-                row = tuple(
-                    born_probability(frag.bases[b][k], frag.states[i])
-                    for k in range(frag.dim)
-                )
-            per_basis.append(row)
-        out.append(tuple(per_basis))
-    return tuple(out)
+def _atom_table(fragment: Fragment) -> _AtomTable:
+    rays = fragment_rays(fragment)
+    atoms = enumerate_atoms(fragment, rays)
+    val = np.array([a.valuation for a in atoms], dtype=int).reshape(-1, len(rays.vectors))
+    admissible = np.ones((len(rays.state_rays), len(atoms)), dtype=bool)
+    for i, r in enumerate(rays.state_rays):
+        if r is not None:
+            admissible[i] = val[:, r] == 1
+    return _AtomTable(rays, atoms, val, admissible)
 
 
-def _born_state_state(frag: Fragment):
-    n = len(frag.states)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if frag.exact:
-                out[i][j] = _exact_born(frag.exact_states[i], frag.exact_states[j])
-            else:
-                out[i][j] = born_probability(frag.states[i], frag.states[j])
-    return out
-
-
-def _admissible_atoms(frag: Fragment, rays: FragmentRays, atoms):
-    """Per state: atom indices allowed by certainty on the state's own ray."""
-    allowed = []
-    for i in range(len(frag.states)):
-        r = rays.state_rays[i]
-        if r is None:
-            allowed.append(list(range(len(atoms))))
-        else:
-            allowed.append([a for a, at in enumerate(atoms) if at.valuation[r] == 1])
-    return allowed
+def _born(fragment: Fragment):
+    """(states, bases, Born function): rational pairs if exact, else PureStates."""
+    if fragment.exact:
+        return fragment.exact_states, fragment.exact_bases, _exact_born
+    return fragment.states, fragment.bases, born_probability
 
 
 # ---------------------------------------------------------------------------
@@ -496,34 +504,25 @@ def feasibility_max_epistemic(fragment: Fragment) -> FeasibilityResult:
     answering that outcome to the Born probability.  Feasible solutions
     are re-checked row by row; infeasible ones get a Farkas certificate.
     """
-    rays = fragment_rays(fragment)
-    atoms = enumerate_atoms(fragment, rays)
+    table = _atom_table(fragment)
     exact = fragment.exact
-    if not atoms:
-        search = find_valuation(rays.graph, fragment.dim)
+    if not table.atoms:
+        search = find_valuation(table.rays.graph, fragment.dim)
         if search.satisfiable:
             raise RuntimeError("atom enumeration and valuation search disagree")
         return FeasibilityResult(
             status="Infeasible", n_atoms=0, empty_atoms=True, exact=exact
         )
 
-    allowed = _admissible_atoms(fragment, rays, atoms)
-    var_of = {}
-    for i in range(len(fragment.states)):
-        for a in allowed[i]:
-            var_of[(i, a)] = len(var_of)
-    n_vars = len(var_of)
-    borns = _born_state_basis(fragment)
-
-    lp = LinearProgram(n_vars)
-    for i in range(len(fragment.states)):
-        for b, ids in enumerate(rays.basis_rays):
-            for k in range(fragment.dim):
-                row = [_zero(exact)] * n_vars
-                for a in allowed[i]:
-                    if atoms[a].valuation[ids[k]] == 1:
-                        row[var_of[(i, a)]] = _zero(exact) + 1
-                lp.add_eq(row, borns[i][b][k])
+    states, bases, born = _born(fragment)
+    # one row per (state, basis, outcome), in that order
+    outcome_rays = [r for ids in table.rays.basis_rays for r in ids]
+    cells = [(i, r) for i in range(len(states)) for r in outcome_rays]
+    borns = [born(v, psi) for psi in states for basis in bases for v in basis]
+    rows = table.rows(0, cells)
+    lp = LinearProgram(rows.shape[1])
+    for row, p in zip(rows, borns):
+        lp.add_eq(row, p)
 
     res = simplex_solve(lp, exact=exact)
     if res.status == "infeasible":
@@ -531,7 +530,7 @@ def feasibility_max_epistemic(fragment: Fragment) -> FeasibilityResult:
             raise RuntimeError("Farkas certificate failed verification")
         return FeasibilityResult(
             status="Infeasible",
-            n_atoms=len(atoms),
+            n_atoms=len(table.atoms),
             farkas=res.farkas,
             certificate_ok=res.certificate_ok,
             exact=exact,
@@ -539,19 +538,10 @@ def feasibility_max_epistemic(fragment: Fragment) -> FeasibilityResult:
     if res.status != "optimal":
         raise RuntimeError(f"feasibility LP reported {res.status}")
 
-    weights = [[_zero(exact)] * len(atoms) for _ in fragment.states]
-    for (i, a), v in var_of.items():
-        weights[i][a] = res.x[v]
+    weights = table.weights(res.x, exact)
     max_residual = 0.0
-    for i in range(len(fragment.states)):
-        for b, ids in enumerate(rays.basis_rays):
-            for k in range(fragment.dim):
-                mass = sum(
-                    (weights[i][a] for a in range(len(atoms))
-                     if atoms[a].valuation[ids[k]] == 1),
-                    _zero(exact),
-                )
-                max_residual = max(max_residual, abs(float(mass - borns[i][b][k])))
+    for (i, r), p in zip(cells, borns):
+        max_residual = max(max_residual, abs(float(table.mass(weights[i], r) - p)))
     tol = 0.0 if exact else FEAS_TOL
     if max_residual > tol:
         raise RuntimeError(
@@ -559,8 +549,8 @@ def feasibility_max_epistemic(fragment: Fragment) -> FeasibilityResult:
         )
     return FeasibilityResult(
         status="Feasible",
-        n_atoms=len(atoms),
-        weights=tuple(tuple(w) for w in weights),
+        n_atoms=len(table.atoms),
+        weights=tuple(map(tuple, weights.tolist())),
         max_residual=max_residual,
         exact=exact,
     )
@@ -610,56 +600,36 @@ def max_overlap_fraction(fragment: Fragment) -> OverlapResult:
     optimum isolates how much overlap the deterministic noncontextual
     class can retain.  Empty atom sets leave the fraction undefined.
     """
-    rays = fragment_rays(fragment)
-    atoms = enumerate_atoms(fragment, rays)
+    table = _atom_table(fragment)
     exact = fragment.exact
-    if not atoms:
+    if not table.atoms:
         return OverlapResult(
             status="Undefined", f_star=None, caveat=CAVEAT, n_atoms=0, exact=exact
         )
 
-    n_states = len(fragment.states)
-    allowed = _admissible_atoms(fragment, rays, atoms)
-    var_of = {}
-    for i in range(n_states):
-        for a in allowed[i]:
-            var_of[(i, a)] = 1 + len(var_of)  # variable 0 is t
-    n_vars = 1 + len(var_of)
-    bmat = _born_state_state(fragment)
+    states, _, born = _born(fragment)
+    n_states = len(states)
+    bmat = [[born(phi, psi) for psi in states] for phi in states]
+    state_rays = table.rays.state_rays
     pairs = [
         (i, j)
         for i in range(n_states)
-        if rays.state_rays[i] is not None
+        if state_rays[i] is not None
         for j in range(n_states)
         if j != i and bmat[i][j] > BORN_EPS
     ]
 
-    one = _zero(exact) + 1
-    lp = LinearProgram(n_vars, objective=[one] + [_zero(exact)] * (n_vars - 1))
-    for j in range(n_states):
-        row = [_zero(exact)] * n_vars
-        for a in allowed[j]:
-            row[var_of[(j, a)]] = one
-        lp.add_eq(row, one)
-    t_cap = [_zero(exact)] * n_vars
-    t_cap[0] = one
-    lp.add_ub(t_cap, one)
-
-    def core_vars(i, j):
-        r = rays.state_rays[i]
-        return [var_of[(j, a)] for a in allowed[j] if atoms[a].valuation[r] == 1]
-
-    for i, j in pairs:
-        cols = core_vars(i, j)
-        floor = [_zero(exact)] * n_vars
-        floor[0] = bmat[i][j]
-        for v in cols:
-            floor[v] = -one
-        lp.add_ub(floor, _zero(exact))  # t*born - core <= 0
-        cap = [_zero(exact)] * n_vars
-        for v in cols:
-            cap[v] = one
-        lp.add_ub(cap, bmat[i][j])  # core <= born
+    # t is variable 0; rows: each state's total weight, then each pair's core
+    cells = [(j, None) for j in range(n_states)] + [(j, state_rays[i]) for i, j in pairs]
+    rows = table.rows(1, cells)
+    t_only = [1] + [0] * (rows.shape[1] - 1)
+    lp = LinearProgram(rows.shape[1], objective=t_only)
+    for row in rows[:n_states]:
+        lp.add_eq(row, 1)
+    lp.add_ub(t_only, 1)
+    for (i, j), core in zip(pairs, rows[n_states:]):
+        lp.add_ub(np.concatenate(([bmat[i][j]], -core[1:])), 0)  # t*born - core <= 0
+        lp.add_ub(core, bmat[i][j])  # core <= born
 
     res = simplex_solve(lp, exact=exact)
     if res.status == "infeasible":
@@ -669,7 +639,7 @@ def max_overlap_fraction(fragment: Fragment) -> OverlapResult:
             status="Infeasible",
             f_star=None,
             caveat=CAVEAT,
-            n_atoms=len(atoms),
+            n_atoms=len(table.atoms),
             farkas=res.farkas,
             certificate_ok=res.certificate_ok,
             exact=exact,
@@ -678,19 +648,11 @@ def max_overlap_fraction(fragment: Fragment) -> OverlapResult:
         raise RuntimeError(f"overlap LP reported {res.status}")
 
     f_star = res.x[0]
-    weights = [[_zero(exact)] * len(atoms) for _ in range(n_states)]
-    for (j, a), v in var_of.items():
-        weights[j][a] = res.x[v]
-
+    weights = table.weights(res.x[1:], exact)
     labels = fragment.state_labels
     pair_rows = []
     for i, j in pairs:
-        r = rays.state_rays[i]
-        mass = sum(
-            (weights[j][a] for a in range(len(atoms))
-             if atoms[a].valuation[r] == 1),
-            _zero(exact),
-        )
+        mass = table.mass(weights[j], state_rays[i])
         pair_rows.append(
             PairBound(
                 measured=labels[i],
@@ -714,9 +676,9 @@ def max_overlap_fraction(fragment: Fragment) -> OverlapResult:
         status="Optimal",
         f_star=f_star,
         caveat=CAVEAT,
-        n_atoms=len(atoms),
+        n_atoms=len(table.atoms),
         pairs=tuple(pair_rows),
-        weights=tuple(tuple(w) for w in weights),
+        weights=tuple(map(tuple, weights.tolist())),
         exact=exact,
     )
 
@@ -750,9 +712,8 @@ def fragment_model(
     atom's valuation, so they are outcome-deterministic and read nothing
     but the ontic state.  Batches are integer arrays of atom indices.
     """
-    rays = fragment_rays(fragment)
-    atoms = enumerate_atoms(fragment, rays)
-    n_atoms = len(atoms)
+    table = _atom_table(fragment)
+    n_atoms = len(table.atoms)
     if n_atoms == 0:
         raise ValueError("fragment has no atoms; no model exists")
     wmat = np.array([[float(w) for w in row] for row in weights], dtype=float)
@@ -761,18 +722,17 @@ def fragment_model(
             f"weights shape {wmat.shape} does not match "
             f"{len(fragment.states)} states x {n_atoms} atoms"
         )
-    val_matrix = np.array([a.valuation for a in atoms], dtype=float)
 
     space = OnticSpace(
         kind="finite",
         dim=fragment.dim,
         reference_sampler=lambda rng, m: rng.integers(0, n_atoms, size=m),
         reference_mass=float(n_atoms),
-        atoms=tuple(atoms),
+        atoms=tuple(table.atoms),
     )
 
     def ray_of(phi: PureState) -> int:
-        for r, u in enumerate(rays.vectors):
+        for r, u in enumerate(table.rays.vectors):
             if u.same_ray(phi, atol=ORTH_TOL):
                 return r
         raise ValueError("outcome state is not a measured ray of the fragment")
@@ -800,10 +760,10 @@ def fragment_model(
         )
 
     def evaluate(phi, batch, sm):
-        return val_matrix[np.asarray(batch, dtype=int), ray_of(phi)]
+        return table.val[np.asarray(batch, dtype=int), ray_of(phi)]
 
     def core(phi, batch, sm):
-        return val_matrix[np.asarray(batch, dtype=int), ray_of(phi)] == 1.0
+        return table.val[np.asarray(batch, dtype=int), ray_of(phi)] == 1
 
     respond = ResponseFunction(evaluate=evaluate, core=core, support=core)
     declared = DeclaredProperties(

@@ -51,7 +51,6 @@ class LinearProgram:
             )
 
     def _check(self, coeffs):
-        coeffs = list(coeffs)
         if len(coeffs) != self.n_vars:
             raise LPError(f"row has {len(coeffs)} entries, expected {self.n_vars}")
         return coeffs
@@ -76,7 +75,8 @@ class LPResult:
 def _conv_exact(v):
     if isinstance(v, float):
         raise LPError("exact mode requires rational coefficients, got a float")
-    return Fraction(v)
+    # a Fraction of numpy integers would keep fixed-width terms that wrap
+    return Fraction(int(v) if isinstance(v, np.integer) else v)
 
 
 _to_fractions = np.frompyfunc(_conv_exact, 1, 1)
@@ -129,7 +129,7 @@ class _Tableau:
                 self.obj = self.obj - f * self.t[i]
 
     def value(self):
-        return -self.obj[-1:].item()
+        return 0 - self.obj[-1:].item()  # +0.0, not -0.0, for a zero optimum
 
     def pivot(self, r, c):
         self.t[r] = row = self.t[r] / self.t[r, c]

@@ -5,17 +5,27 @@ from a fixed rotation.  Every float of the report is pinned bit for bit
 (``float.hex``; the per-pair core masses and the Farkas multipliers as a
 digest of their hex strings) together with the pivot counts of both LPs,
 so a change in the tableau that only lands within tolerance of the old
-answer, or reaches it by other pivots, fails here.
+answer, or reaches it by other pivots, fails here.  Exact fragments,
+Peres-24 base subsets written out below, pin f* as a Fraction string and
+the Farkas multipliers and weights by their ``str``.
 """
 
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from ontomodels import epibound
 from ontomodels.data import fragment_path
-from ontomodels.epibound import analyze, load_fragment, parse_fragment
+from ontomodels.epibound import (
+    analyze,
+    feasibility_max_epistemic,
+    load_fragment,
+    max_overlap_fraction,
+    parse_fragment,
+)
+from ontomodels.simplex import LinearProgram, simplex_solve
 
 
 def _rotate(v):
@@ -78,15 +88,21 @@ def _hex(v):
     return None if v is None else float.hex(v)
 
 
-def _pins(fragment, monkeypatch):
-    results = []
+def _record_solves(monkeypatch):
+    """Route epibound's simplex_solve through a recorder of (lp, result)."""
+    calls = []
     solve = epibound.simplex_solve
 
     def recording_solve(lp, exact=False):
-        results.append(solve(lp, exact=exact))
-        return results[-1]
+        calls.append((lp, solve(lp, exact=exact)))
+        return calls[-1][1]
 
     monkeypatch.setattr(epibound, "simplex_solve", recording_solve)
+    return calls
+
+
+def _pins(fragment, monkeypatch):
+    calls = _record_solves(monkeypatch)
     body = analyze(fragment)
     cert = body["certificate"] or {}
     farkas = cert.get("farkas", [])
@@ -99,7 +115,7 @@ def _pins(fragment, monkeypatch):
         "core_mass": _digest(p["core_mass"] for p in body["pairs"]),
         "n_farkas": len(farkas),
         "farkas": _digest(farkas),
-        "pivots": [res.pivots for res in results],
+        "pivots": [res.pivots for _, res in calls],
     }
 
 
@@ -177,6 +193,8 @@ GOLDEN = {
 def _fragment(name):
     if name.endswith(".frag"):
         return load_fragment(fragment_path(name))
+    if name in PERES_SUBSETS:
+        return parse_fragment(peres_subset_text(*PERES_SUBSETS[name]), name=name)
     n = int(name.split("-")[1])
     return parse_fragment(kcbs_cycle_text(n), name=name)
 
@@ -184,3 +202,157 @@ def _fragment(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fragment_lp_golden(name, monkeypatch):
     assert _pins(_fragment(name), monkeypatch) == GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# Exact mode: Peres-24 base subsets
+
+
+def _peres24():
+    """Peres' 24 rays in d = 4: e_i, e_i +- e_j and (1, +-1, +-1, +-1)."""
+    rays = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            for s in (1, -1):
+                v = [0] * 4
+                v[i], v[j] = 1, s
+                rays.append(tuple(v))
+    rays += [(1, a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    return rays
+
+
+PERES24 = _peres24()
+# bases and state rays as indices into PERES24
+PERES_SUBSETS = {
+    "peres-3": (
+        ((4, 14, 21, 22), (8, 9, 10, 11), (16, 19, 21, 22)),
+        (10, 19, 14, 22),
+    ),
+    "peres-6": (
+        ((0, 1, 14, 15), (4, 14, 21, 22), (6, 7, 12, 13), (6, 13, 18, 23),
+         (8, 9, 10, 11), (9, 10, 18, 20)),
+        (9, 11, 18, 22),
+    ),
+    "peres-7": (
+        ((1, 2, 8, 9), (4, 14, 21, 22), (4, 15, 20, 23), (5, 14, 17, 18),
+         (6, 7, 12, 13), (8, 9, 10, 11), (8, 11, 17, 23)),
+        (12, 18, 7, 17),
+    ),
+}
+
+
+def peres_subset_text(bases, states):
+    def line(r):
+        return " ".join(f"{x},0" for x in PERES24[r])
+
+    lines = ["dim=4", "exact"] + ["state: " + line(r) for r in states]
+    for ids in bases:
+        lines += ["basis:"] + [line(r) for r in ids]
+    return "\n".join(lines) + "\n"
+
+
+def _str_digest(values):
+    text = "\n".join(str(v) for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _exact_pins(fragment, monkeypatch):
+    calls = _record_solves(monkeypatch)
+    feas = feasibility_max_epistemic(fragment)
+    over = max_overlap_fraction(fragment)
+    return {
+        "n_atoms": feas.n_atoms,
+        "feasible": feas.status,
+        "weights": _str_digest(w for row in feas.weights or () for w in row),
+        "farkas": _str_digest(feas.farkas or ()),
+        "f_star": str(over.f_star),
+        "overlap_weights": _str_digest(w for row in over.weights for w in row),
+        "core_mass": _digest(p.core_mass for p in over.pairs),
+        "pivots": [res.pivots for _, res in calls],
+    }
+
+
+# pinned at the commit before the fragment LPs were built from one matrix
+EXACT_GOLDEN = {
+    "peres-3": {
+        "n_atoms": 12,
+        "feasible": "Feasible",
+        "weights": "b897876849825371",
+        "farkas": "e3b0c44298fc1c14",
+        "f_star": "1",
+        "overlap_weights": "9ce4778041059af7",
+        "core_mass": "bc1f876a35a60ed9",
+        "pivots": [(13, 0), (17, 0)],
+    },
+    "peres-6": {
+        "n_atoms": 16,
+        "feasible": "Infeasible",
+        "weights": "e3b0c44298fc1c14",
+        "farkas": "4a1ead3fc2dc20e1",
+        "f_star": "1",
+        "overlap_weights": "e8526c46d3b9f8a3",
+        "core_mass": "b0e0ccb6cbaded43",
+        "pivots": [(11, 0), (13, 0)],
+    },
+    "peres-7": {
+        "n_atoms": 16,
+        "feasible": "Infeasible",
+        "weights": "e3b0c44298fc1c14",
+        "farkas": "ab8a3251fabcaa8f",
+        "f_star": "1",
+        "overlap_weights": "1b8c610a548c7d0f",
+        "core_mass": "b9adcd5980743d35",
+        "pivots": [(12, 0), (13, 1)],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERES_SUBSETS))
+def test_exact_fragment_lp_golden(name, monkeypatch):
+    fragment = _fragment(name)
+    assert fragment.exact
+    assert _exact_pins(fragment, monkeypatch) == EXACT_GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# numpy rows
+
+
+def _bits(value):
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, float):
+        return float.hex(value)
+    return None if value is None else (type(value).__name__, str(value))
+
+
+def _result_bits(res):
+    return (res.status, _bits(res.value), _bits(res.x), _bits(res.farkas),
+            res.certificate_ok, res.pivots)
+
+
+def _rebuilt(lp, row_of):
+    out = LinearProgram(lp.n_vars, lp.objective)
+    for coeffs, rhs in lp.eq_rows:
+        out.add_eq(row_of(coeffs), rhs)
+    for coeffs, rhs in lp.ub_rows:
+        out.add_ub(row_of(coeffs), rhs)
+    return out
+
+
+def _as_list(row):
+    return row.tolist() if isinstance(row, np.ndarray) else list(row)
+
+
+@pytest.mark.parametrize("name", ["kcbs.frag", "kcbs-7", "peres-6", "peres-3"])
+def test_numpy_rows_match_list_rows(name, monkeypatch):
+    fragment = _fragment(name)
+    calls = _record_solves(monkeypatch)
+    analyze(fragment)
+    assert len(calls) == 2
+    for lp, _ in calls:
+        as_lists = simplex_solve(_rebuilt(lp, _as_list), exact=fragment.exact)
+        as_arrays = simplex_solve(
+            _rebuilt(lp, lambda row: np.asarray(_as_list(row))), exact=fragment.exact
+        )
+        assert _result_bits(as_arrays) == _result_bits(as_lists)

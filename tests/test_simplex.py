@@ -1,5 +1,6 @@
 """Tests for the two-phase simplex solver and Farkas certificates."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +255,32 @@ def test_results_hold_plain_python_numbers(exact):
     assert res.status == "infeasible"
     assert all(type(v) is scalar for v in res.farkas)
     assert res.certificate_ok is True
+
+
+def test_exact_mode_widens_numpy_integers():
+    # 3**25 squared overflows int64, so the Fractions must hold Python ints
+    big = 3**25
+    want = Fraction(2 * big, big + 1)
+    for row_of in (list, lambda row: np.array(row, dtype=np.int64)):
+        lp = LinearProgram(2, row_of([1, 1]))
+        lp.add_ub(row_of([big, 1]), np.int64(big))
+        lp.add_ub(row_of([1, big]), np.int64(big))
+        res = simplex_solve(lp, exact=True)
+        assert res.status == "optimal"
+        assert res.value == want
+        assert type(res.value.numerator) is int
+        assert res.x == (want / 2, want / 2)
+
+
+def test_zero_optimum_is_positive_zero():
+    empty = LinearProgram(0)
+    empty.add_eq([], 0)
+    capped = LinearProgram(1, [-1])
+    capped.add_ub([1], 1)
+    for lp in (empty, capped):
+        res = simplex_solve(lp)
+        assert res.status == "optimal"
+        assert math.copysign(1.0, res.value) == 1.0
 
 
 # ---------------------------------------------------------------------------
