@@ -18,6 +18,7 @@ ontic space.  Three interchangeable engines evaluate them:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,8 +71,14 @@ class ClosedForm:
         return Estimate(float(value), self.tolerance, self.spec)
 
 
+@functools.lru_cache(maxsize=None)
 def _gl(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1]; cached and shared by
+    every caller, so read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _frame(axis: np.ndarray):
@@ -111,13 +118,14 @@ class SphereQuadrature:
 
     def nodes(self, split_axes=()):
         """Quadrature points (N, 3) and weights (N,) summing to ~4pi."""
-        axes = [np.asarray(a, dtype=float) for a in split_axes]
-        for a in axes:
+        axes = []
+        for a in split_axes:
+            a = np.asarray(a, dtype=float)
             n = np.linalg.norm(a)
             if n < 1e-12:
                 raise EngineError("split axis must be a nonzero vector")
-            a /= n
-        axes = [a / np.linalg.norm(a) for a in axes]
+            a = a / n
+            axes.append(a / np.linalg.norm(a))
         if not axes:
             return self._smooth_nodes()
         return self._split_nodes(axes)
@@ -168,47 +176,67 @@ class SphereQuadrature:
         t = 0.5 * (xt + 1.0)
         n_az = 2 * self.level + 1
         x_az, w_az = _gl(n_az)
+        two_pi = 2.0 * np.pi
 
-        all_pts, all_w = [], []
-        for a, b in panels:
-            # u = a + (b-a) sin^2(pi t / 2): endpoint derivatives vanish,
-            # so sqrt singularities at panel ends become analytic.
-            s2 = np.sin(0.5 * np.pi * t) ** 2
-            u_nodes = a + (b - a) * s2
-            du = 0.5 * (b - a) * (0.5 * np.pi) * np.sin(np.pi * t)
-            for u, wu in zip(u_nodes, wt * du):
-                r = math.sqrt(max(1.0 - u * u, 0.0))
-                bounds = []
-                for rho, az, phi0 in others:
-                    amp = r * rho
-                    off = -az * u
-                    if amp > abs(off) + 1e-15:
-                        w = math.acos(min(max(off / amp, -1.0), 1.0))
-                        bounds.append((phi0 - w) % (2.0 * np.pi))
-                        bounds.append((phi0 + w) % (2.0 * np.pi))
-                if not bounds:
-                    phi = 2.0 * np.pi * np.arange(n_az) / n_az
-                    wphi = np.full(n_az, 2.0 * np.pi / n_az)
-                else:
-                    bounds.sort()
-                    phi_parts, w_parts = [], []
-                    for i, lo in enumerate(bounds):
-                        hi = bounds[(i + 1) % len(bounds)]
-                        if i + 1 == len(bounds):
-                            hi += 2.0 * np.pi
-                        half = 0.5 * (hi - lo)
-                        phi_parts.append(lo + half * (x_az + 1.0))
-                        w_parts.append(np.full(n_az, 0.0) + w_az * half)
-                    phi = np.concatenate(phi_parts)
-                    wphi = np.concatenate(w_parts)
-                pts = np.stack(
-                    [r * np.cos(phi), r * np.sin(phi), np.full(phi.shape, u)],
-                    axis=1,
-                )
-                all_pts.append(pts)
-                all_w.append(wu * wphi)
-        pts = np.concatenate(all_pts)
-        w = np.concatenate(all_w)
+        # Latitude rows, panel-major.  u = a + (b-a) sin^2(pi t / 2):
+        # endpoint derivatives vanish, so sqrt singularities at panel ends
+        # become analytic.
+        a, b = np.array(panels).T
+        s2 = np.sin(0.5 * np.pi * t) ** 2
+        u = (a[:, None] + (b - a)[:, None] * s2).ravel()
+        du = (0.5 * (b - a) * (0.5 * np.pi))[:, None] * np.sin(np.pi * t)
+        wu = (wt * du).ravel()
+        r = np.sqrt(np.maximum(1.0 - u * u, 0.0))
+
+        # Arc bounds: circle k crosses row u where amp > |off|, at azimuths
+        # phi0 -/+ acos(off/amp).  math.acos, not np.arccos: the two differ
+        # in the last bit on some inputs, and the nodes must not move.
+        rho, az, phi0 = np.array(others, dtype=float).reshape(-1, 3).T
+        amp = r[:, None] * rho
+        off = u[:, None] * -az
+        active = amp > np.abs(off) + 1e-15
+        ratio = np.clip(off[active] / amp[active], -1.0, 1.0)
+        half_arc = np.array([math.acos(x) for x in ratio.tolist()])
+        phi0 = np.broadcast_to(phi0, active.shape)[active]
+        bounds = np.full(active.shape + (2,), np.inf)
+        bounds[active] = np.stack(
+            [(phi0 - half_arc) % two_pi, (phi0 + half_arc) % two_pi], axis=1
+        )
+        bounds = np.sort(bounds.reshape(len(u), -1), axis=1)
+        n_bounds = 2 * active.sum(axis=1)
+
+        # Azimuth rule of each row: the uniform periodic rule without
+        # bounds, else Gauss-Legendre on every arc between sorted bounds
+        # (the last arc wraps through 2 pi).  Rows are scattered into flat
+        # arrays at offsets from the cumulative row lengths.
+        row_len = np.maximum(n_bounds, 1) * n_az
+        start = np.cumsum(row_len) - row_len
+        phi = np.empty(int(row_len.sum()))
+        w = np.empty_like(phi)
+        for c in np.unique(n_bounds).tolist():
+            rows = np.flatnonzero(n_bounds == c)
+            at = start[rows, None] + np.arange(max(c, 1) * n_az)
+            if c == 0:
+                phi[at] = two_pi * np.arange(n_az) / n_az
+                w[at] = wu[rows, None] * (two_pi / n_az)
+                continue
+            lo = bounds[rows, :c]
+            hi = np.roll(lo, -1, axis=1)
+            hi[:, -1] += two_pi
+            half = (0.5 * (hi - lo))[:, :, None]
+            phi[at] = (lo[:, :, None] + half * (x_az + 1.0)).reshape(len(rows), -1)
+            w[at] = wu[rows, None] * (w_az * half).reshape(len(rows), -1)
+
+        # Build the (N, 3) points in place; the temporaries go before the
+        # change of basis so they do not add to the peak.
+        pts = np.empty((len(phi), 3))
+        rr = np.repeat(r, row_len)
+        np.cos(phi, out=pts[:, 0])
+        pts[:, 0] *= rr
+        np.sin(phi, out=pts[:, 1])
+        pts[:, 1] *= rr
+        pts[:, 2] = np.repeat(u, row_len)
+        del phi, rr
         basis = np.stack([e1, e2, pole])
         return pts @ basis, w
 

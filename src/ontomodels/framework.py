@@ -62,6 +62,7 @@ from .hilbert import (
     mix,
     random_state,
 )
+from .reports import canonical_json
 from .rng import DEFAULT_SEED, stream
 
 XI_TOL = 1e-9
@@ -1312,9 +1313,10 @@ def replay_witness(model, witness: dict) -> bool:
     """Rerun the trial behind a witness and re-check the violation.
 
     Returns True when a check of the rerun trial still flags the stored
-    row and rebuilds the stored witness exactly, point included.  Streams
-    are counter-based, so replay does not depend on what else was computed
-    in between.
+    row and rebuilds the stored witness, point included, as the same
+    canonical JSON: a witness read back from a report holds its floats to
+    the report's 12 digits.  Streams are counter-based, so replay does not
+    depend on what else was computed in between.
     """
     kind = witness["kind"]
     seed = witness["seed"]
@@ -1332,8 +1334,10 @@ def replay_witness(model, witness: dict) -> bool:
     trial, inputs, index = _witness_trial(witness)
     t, i, m = witness[index], witness["row"], witness["block_size"]
     batch, checks = trial(model, seed, t, m, *inputs)
+    stored = canonical_json(witness)
     return any(
         bad[i]
-        and _trial_witness(kind, seed, model, index, t, m, batch, i, fields) == witness
+        and canonical_json(_trial_witness(kind, seed, model, index, t, m, batch, i, fields))
+        == stored
         for bad, fields in checks
     )

@@ -1,6 +1,7 @@
 """Model-independent machinery: prediction, checks, classification, replay."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from ontomodels.hilbert import (
     random_state,
     state,
 )
+from ontomodels.reports import canonical_json
 from ontomodels.zoo import get_model, make_bb, make_bell2, make_ks, make_ws
 
 QUAD = parse_engine("quad:17")
@@ -293,6 +295,23 @@ class TestClassify:
                 assert fw.replay_witness(model, st.witness)
                 replayed += 1
         assert replayed >= 3
+
+    def test_witnesses_read_back_from_json_replay(self):
+        # A report prints floats to 12 digits; replay must still accept
+        # the witness as read back, and reject one with another row or seed.
+        model = make_ws(3)
+        rep = fw.classify(model, n_trials=1024, seed=11)
+        witnesses = [
+            json.loads(canonical_json(st.witness))
+            for st in rep.predicates.values()
+            if st.witness is not None
+        ]
+        assert len(witnesses) == 4
+        for wit in witnesses:
+            assert fw.replay_witness(model, wit), wit["kind"]
+            if "row" in wit:
+                assert not fw.replay_witness(model, {**wit, "row": wit["row"] + 1})
+                assert not fw.replay_witness(model, {**wit, "seed": wit["seed"] + 1})
 
     def test_report_json_shape(self):
         rep = fw.classify(make_ks(), n_trials=512, seed=11)
