@@ -378,6 +378,8 @@ def cmd_table(cfg: RunConfig, models=None) -> int:
 
 
 def cmd_ksval(cfg: RunConfig) -> int:
+    if cfg.limit is not None and cfg.limit < 1:
+        raise UsageError(f"--limit must be at least 1, got {cfg.limit}")
     path = cfg.inputs[0]
     vset = load_vector_set(path)
     graph = build_graph(vset)

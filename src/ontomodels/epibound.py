@@ -43,7 +43,16 @@ from .framework import (
     ResponseFunction,
 )
 from .hilbert import PureState, born_probability
-from .ksval import OrthogonalityGraph, enumerate_valuations, find_valuation, graph_from_edges
+from .ksval import (
+    OrthogonalityGraph,
+    _integer_rays,
+    _orthogonal,
+    _orthogonal_pairs,
+    _ray_keys,
+    enumerate_valuations,
+    find_valuation,
+    graph_from_edges,
+)
 from .simplex import FEAS_TOL, LinearProgram, simplex_solve
 
 ORTH_TOL = 1e-9    # dot-product cut for ray orthogonality in float mode
@@ -229,10 +238,12 @@ def parse_fragment(text: str, name: str = "fragment") -> Fragment:
 
 def _check_basis(block, block_pairs, exact: bool, lineno: int):
     d = len(block)
+    if exact:
+        orth = _orthogonal(*_integer_rays(block_pairs), -1, hermitian=True)
     for i in range(d):
         for j in range(i + 1, d):
             if exact:
-                ok = _exact_inner(block_pairs[i], block_pairs[j]) == (0, 0)
+                ok = orth[i, j]
             else:
                 ok = abs(block[i].inner(block[j])) <= BASIS_TOL
             if not ok:
@@ -275,17 +286,8 @@ def save_fragment(path, frag: Fragment):
 
 
 # ---------------------------------------------------------------------------
-# Exact complex-rational arithmetic on (re, im) Fraction pairs
-
-
-def _exact_inner(u, v):
-    """conj(u) . v as an (re, im) pair of Fractions."""
-    re_ = Fraction(0)
-    im_ = Fraction(0)
-    for (a, b), (c, d) in zip(u, v):
-        re_ += a * c + b * d
-        im_ += a * d - b * c
-    return re_, im_
+# Exact Born probabilities of (re, im) Fraction pairs; ray geometry runs on
+# the Gaussian-integer forms of ``ksval``'s integer ray algebra instead.
 
 
 def _exact_norm2(u) -> Fraction:
@@ -293,22 +295,12 @@ def _exact_norm2(u) -> Fraction:
 
 
 def _exact_born(phi, psi) -> Fraction:
-    re_, im_ = _exact_inner(phi, psi)
+    """|conj(phi) . psi|^2 / (|phi|^2 |psi|^2) in Fractions."""
+    re_ = im_ = Fraction(0)
+    for (a, b), (c, d) in zip(phi, psi):
+        re_ += a * c + b * d
+        im_ += a * d - b * c
     return (re_ * re_ + im_ * im_) / (_exact_norm2(phi) * _exact_norm2(psi))
-
-
-def _exact_parallel(u, v) -> bool:
-    """Same ray: every 2x2 complex minor u_i v_j - u_j v_i vanishes."""
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            re_ = u[i][0] * v[j][0] - u[i][1] * v[j][1]
-            re_ -= u[j][0] * v[i][0] - u[j][1] * v[i][1]
-            im_ = u[i][0] * v[j][1] + u[i][1] * v[j][0]
-            im_ -= u[j][0] * v[i][1] + u[j][1] * v[i][0]
-            if re_ or im_:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -331,46 +323,50 @@ class FragmentRays:
 
 
 def fragment_rays(frag: Fragment) -> FragmentRays:
-    vectors = []
-    exact_vectors = []
+    # Basis vectors in declared order, then the states.  An exact vector is
+    # matched by its canonical Gaussian-integer form, a float one by the
+    # first measured ray it lies on within ORTH_TOL.
+    flat = [vec for basis in frag.bases for vec in basis] + list(frag.states)
+    if frag.exact:
+        rows = [p for basis in frag.exact_bases for p in basis] + list(frag.exact_states)
+        X, Y = _integer_rays(rows)
+        keys = _ray_keys(X, Y, -1)
+    firsts = []  # flat index of each distinct measured ray
+    ray_of = {}  # canonical form -> ray index (exact mode)
 
-    def match(vec, pairs) -> Optional[int]:
-        for r in range(len(vectors)):
-            if frag.exact:
-                if _exact_parallel(exact_vectors[r], pairs):
-                    return r
-            elif vectors[r].same_ray(vec, atol=ORTH_TOL):
+    def match(k) -> Optional[int]:
+        if frag.exact:
+            return ray_of.get(keys[k])
+        for r, f in enumerate(firsts):
+            if flat[f].same_ray(flat[k], atol=ORTH_TOL):
                 return r
         return None
 
-    basis_rays = []
-    for b, basis in enumerate(frag.bases):
-        ids = []
-        for k, vec in enumerate(basis):
-            pairs = frag.exact_bases[b][k] if frag.exact else None
-            r = match(vec, pairs)
-            if r is None:
-                vectors.append(vec)
-                exact_vectors.append(pairs)
-                r = len(vectors) - 1
-            ids.append(r)
-        basis_rays.append(tuple(ids))
-
-    state_rays = []
-    for i, psi in enumerate(frag.states):
-        pairs = frag.exact_states[i] if frag.exact else None
-        state_rays.append(match(psi, pairs))
-
-    edges = []
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
+    ids = []
+    n_measured = len(frag.bases) * frag.dim
+    for k in range(n_measured):
+        r = match(k)
+        if r is None:
+            r = len(firsts)
+            firsts.append(k)
             if frag.exact:
-                orth = _exact_inner(exact_vectors[i], exact_vectors[j]) == (0, 0)
-            else:
-                orth = abs(vectors[i].inner(vectors[j])) <= ORTH_TOL
-            if orth:
-                edges.append((i, j))
-    graph = graph_from_edges(len(vectors), frag.dim, edges)
+                ray_of[keys[k]] = r
+        ids.append(r)
+    basis_rays = [tuple(ids[k : k + frag.dim]) for k in range(0, n_measured, frag.dim)]
+    state_rays = [match(k) for k in range(n_measured, len(flat))]
+
+    vectors = [flat[f] for f in firsts]
+    n = len(vectors)
+    if frag.exact:
+        edges = _orthogonal_pairs(X[firsts], Y[firsts], -1, hermitian=True)
+    else:
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if abs(vectors[i].inner(vectors[j])) <= ORTH_TOL
+        ]
+    graph = graph_from_edges(n, frag.dim, edges)
     return FragmentRays(tuple(vectors), tuple(basis_rays), tuple(state_rays), graph)
 
 
@@ -504,7 +500,10 @@ def feasibility_max_epistemic(fragment: Fragment) -> FeasibilityResult:
     answering that outcome to the Born probability.  Feasible solutions
     are re-checked row by row; infeasible ones get a Farkas certificate.
     """
-    table = _atom_table(fragment)
+    return _feasibility(fragment, _atom_table(fragment))
+
+
+def _feasibility(fragment: Fragment, table: _AtomTable) -> FeasibilityResult:
     exact = fragment.exact
     if not table.atoms:
         search = find_valuation(table.rays.graph, fragment.dim)
@@ -600,7 +599,10 @@ def max_overlap_fraction(fragment: Fragment) -> OverlapResult:
     optimum isolates how much overlap the deterministic noncontextual
     class can retain.  Empty atom sets leave the fraction undefined.
     """
-    table = _atom_table(fragment)
+    return _overlap(fragment, _atom_table(fragment))
+
+
+def _overlap(fragment: Fragment, table: _AtomTable) -> OverlapResult:
     exact = fragment.exact
     if not table.atoms:
         return OverlapResult(
@@ -792,8 +794,9 @@ def fragment_model(
 
 def analyze(fragment: Fragment) -> dict:
     """Feasibility plus overlap optimum, as one JSON-ready report."""
-    feas = feasibility_max_epistemic(fragment)
-    over = max_overlap_fraction(fragment)
+    table = _atom_table(fragment)
+    feas = _feasibility(fragment, table)
+    over = _overlap(fragment, table)
     certificate = None
     if feas.status == "Infeasible":
         if feas.empty_atoms:

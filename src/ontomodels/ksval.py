@@ -22,9 +22,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt, sqrt
+from math import gcd, isqrt, lcm, sqrt
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class VectorFileError(ValueError):
@@ -48,8 +50,9 @@ class Surd:
     """Exact real number p + q*sqrt(r) with rational p, q and integer r >= 0.
 
     Normalized so that a perfect-square radical folds into the rational
-    part and q == 0 forces r == 0.  Closed under +, -, *, which is all the
-    orthogonality test needs; equality and sign are decided exactly.
+    part and q == 0 forces r == 0.  Closed under +, -, *; equality and sign
+    are decided exactly.  Files are read and written as Surds, while the
+    ray geometry runs on integer arrays (see ``_integer_rays``).
     """
 
     p: Fraction = Fraction(0)
@@ -208,33 +211,81 @@ class VectorSet:
     labels: tuple
 
 
-def _dot(u: Sequence[Surd], v: Sequence[Surd]) -> Surd:
-    acc = Surd()
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+# ---------------------------------------------------------------------------
+# Integer ray algebra
+#
+# A ray whose coordinates are x_k + y_k*w (rational x, y; w*w = s) is scaled
+# by the LCM of their denominators to integer rows X, Y.  The bilinear form
+# of two rays is then  X_u.X_v + s*Y_u.Y_v  +  (X_u.Y_v + Y_u.X_v)*w,  which
+# vanishes exactly when both integer parts do, since w is irrational.  Real
+# rays over Q(sqrt r) take s = r; complex rays over Q(i) take s = -1 and
+# conjugate the left factor for the Hermitian product.  Python-int object
+# arrays keep every product exact, whatever the size of the coordinates.
 
 
-def _parallel(u: Sequence[Surd], v: Sequence[Surd]) -> bool:
-    d = len(u)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not (u[i] * v[j] - u[j] * v[i]).is_zero:
-                return False
-    return True
+def _integer_rays(rows):
+    """Object arrays X, Y of rays given as rows of (x, y) Fraction pairs."""
+    X, Y = [], []
+    for row in rows:
+        scale = lcm(*(f.denominator for pair in row for f in pair))
+        X.append([x.numerator * (scale // x.denominator) for x, _ in row])
+        Y.append([y.numerator * (scale // y.denominator) for _, y in row])
+    return np.array(X, dtype=object), np.array(Y, dtype=object)
 
 
-def _first_parallel_pair(vectors):
-    """Indices (i, j), i < j, of the first parallel pair in row order, or None."""
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if _parallel(vectors[i], vectors[j]):
-                return i, j
-    return None
+def _orthogonal(X, Y, s: int, hermitian: bool = False) -> np.ndarray:
+    """n x n bool matrix of exactly orthogonal ray pairs (two Gram products)."""
+    if not Y.any():
+        return X.dot(X.T) == 0
+    Yl = -Y if hermitian else Y
+    return (X.dot(X.T) + s * Yl.dot(Y.T) == 0) & (X.dot(Y.T) + Yl.dot(X.T) == 0)
 
 
-def validate_vector_set(vset: VectorSet) -> None:
-    """Reject zero vectors and parallel (or duplicate) rays."""
+def _orthogonal_pairs(X, Y, s: int, hermitian: bool = False) -> list:
+    """Orthogonal pairs [i, j], i < j, in row order."""
+    return np.argwhere(np.triu(_orthogonal(X, Y, s, hermitian), 1)).tolist()
+
+
+def _ray_keys(X, Y, s: int) -> list:
+    """Canonical primitive form of each ray; equal keys iff parallel rays.
+
+    Multiplying by the conjugate a - b*w of the first nonzero coordinate
+    a + b*w makes that coordinate the nonzero integer a*a - s*b*b; dividing
+    by the gcd and fixing its sign leaves one form per ray.
+    """
+    keys = []
+    for x, y in zip(X.tolist(), Y.tolist()):
+        f = next(k for k in range(len(x)) if x[k] or y[k])
+        a, b = x[f], y[f]
+        form = [xk * a - s * yk * b for xk, yk in zip(x, y)]
+        form += [yk * a - xk * b for xk, yk in zip(x, y)]
+        g = gcd(*form) if form[f] > 0 else -gcd(*form)
+        keys.append(tuple(c // g for c in form))
+    return keys
+
+
+def _first_repeat(keys):
+    """First (i, j), i < j, in row order with keys[i] == keys[j], or None."""
+    first, best = {}, None
+    for j, key in enumerate(keys):
+        i = first.setdefault(key, j)
+        if i != j and (best is None or i < best[0]):
+            best = (i, j)
+    return best
+
+
+def _surd_rays(vectors):
+    """(X, Y, r, first parallel pair or None) of nonzero rays of Surds."""
+    lead = next((c for vec in vectors for c in vec if c.q), Surd())
+    for vec in vectors:
+        for c in vec:
+            lead._join(c)  # one radical per set, as in Surd arithmetic
+    X, Y = _integer_rays([[(c.p, c.q) for c in vec] for vec in vectors])
+    return X, Y, lead.r, _first_repeat(_ray_keys(X, Y, lead.r))
+
+
+def _checked_rays(vset: VectorSet):
+    """Validate a vector set; return the integer rows X, Y and radical r."""
     if vset.dim < 2:
         raise ValueError("dim must be at least 2")
     for k, vec in enumerate(vset.vectors):
@@ -242,10 +293,16 @@ def validate_vector_set(vset: VectorSet) -> None:
             raise ValueError(f"vector {k} has {len(vec)} components, expected {vset.dim}")
         if all(c.is_zero for c in vec):
             raise ValueError(f"vector {k} is zero")
-    pair = _first_parallel_pair(vset.vectors)
+    X, Y, r, pair = _surd_rays(vset.vectors)
     if pair is not None:
         i, j = pair
         raise ValueError(f"parallel rays: {vset.labels[i]} and {vset.labels[j]}")
+    return X, Y, r
+
+
+def validate_vector_set(vset: VectorSet) -> None:
+    """Reject zero vectors and parallel (or duplicate) rays."""
+    _checked_rays(vset)
 
 
 _HEADER = re.compile(r"dim\s*=\s*(\d+)\s+radical\s*=\s*(\d+)")
@@ -289,7 +346,7 @@ def load_vector_set(path) -> VectorSet:
         raise VectorFileError("missing header line", path)
     if not vectors:
         raise VectorFileError("no vectors after header", path)
-    pair = _first_parallel_pair(vectors)
+    *_, pair = _surd_rays(vectors)
     if pair is not None:
         i, j = pair
         raise VectorFileError(
@@ -369,16 +426,9 @@ def graph_from_edges(n: int, dim: int, edges: Iterable) -> OrthogonalityGraph:
 
 
 def build_graph(vset: VectorSet) -> OrthogonalityGraph:
-    """Orthogonality graph of a vector set, using exact dot products."""
-    validate_vector_set(vset)
-    n = len(vset.vectors)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if _dot(vset.vectors[i], vset.vectors[j]).is_zero
-    ]
-    return graph_from_edges(n, vset.dim, edges)
+    """Orthogonality graph of a vector set, using exact integer Gram products."""
+    X, Y, r = _checked_rays(vset)
+    return graph_from_edges(len(vset.vectors), vset.dim, _orthogonal_pairs(X, Y, r))
 
 
 @dataclass(frozen=True)
@@ -551,6 +601,8 @@ def enumerate_valuations(
     graph: OrthogonalityGraph, d: int, limit: Optional[int] = None
 ):
     """All valuations (up to limit) plus search statistics; each re-checked."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     solutions, stats = _solve(graph, d, want_all=True, limit=limit)
     for valuation in solutions:
         check = verify_valuation(graph, valuation, d)

@@ -339,6 +339,13 @@ class TestKsval:
         assert rc == 0
         assert rep["report"]["n_valuations"] == 1
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_enumeration_limit_below_one_is_usage_error(self, limit):
+        rc, out, err = run_cli("ksval", TRIAD, "--all", "--limit", limit)
+        assert rc == 2
+        assert out == ""
+        assert f"--limit must be at least 1, got {limit}" in err
+
     def test_sat_search_returns_valuation(self):
         rc, rep = run_json("ksval", TWOTRIADS)
         assert rc == 0

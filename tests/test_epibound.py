@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontomodels.data import fragment_path, list_fragments
 from ontomodels.engines import ClosedForm, MonteCarlo
@@ -25,7 +27,7 @@ from ontomodels.epibound import (
 )
 from ontomodels.framework import verify_born
 from ontomodels.hilbert import PureState, born_probability, complete_basis, random_state
-from ontomodels.ksval import find_valuation
+from ontomodels.ksval import find_valuation, graph_from_edges
 from ontomodels.rng import stream
 
 D2_TEXT = """\
@@ -50,6 +52,128 @@ KCBS_GOLDEN = 0.8944271909999157
 def ps(*comps):
     v = np.asarray(comps, dtype=complex)
     return PureState(v / np.linalg.norm(v))
+
+
+# The Fraction pair loops the Gaussian-integer ray algebra replaced, kept as
+# its oracle.
+
+
+def _exact_inner(u, v):
+    """conj(u) . v as an (re, im) pair of Fractions."""
+    re_ = Fraction(0)
+    im_ = Fraction(0)
+    for (a, b), (c, d) in zip(u, v):
+        re_ += a * c + b * d
+        im_ += a * d - b * c
+    return re_, im_
+
+
+def _exact_parallel(u, v) -> bool:
+    """Same ray: every 2x2 complex minor u_i v_j - u_j v_i vanishes."""
+    n = len(u)
+    for i in range(n):
+        for j in range(i + 1, n):
+            re_ = u[i][0] * v[j][0] - u[i][1] * v[j][1]
+            re_ -= u[j][0] * v[i][0] - u[j][1] * v[i][1]
+            im_ = u[i][0] * v[j][1] + u[i][1] * v[j][0]
+            im_ -= u[j][0] * v[i][1] + u[j][1] * v[i][0]
+            if re_ or im_:
+                return False
+    return True
+
+
+def oracle_rays(frag):
+    """(basis_rays, state_rays, edges) of an exact fragment by first match."""
+    rays, basis_rays = [], []
+    for basis in frag.exact_bases:
+        ids = []
+        for pairs in basis:
+            r = next((k for k, u in enumerate(rays) if _exact_parallel(u, pairs)), None)
+            if r is None:
+                rays.append(pairs)
+                r = len(rays) - 1
+            ids.append(r)
+        basis_rays.append(tuple(ids))
+    state_rays = tuple(
+        next((k for k, u in enumerate(rays) if _exact_parallel(u, pairs)), None)
+        for pairs in frag.exact_states
+    )
+    n = len(rays)
+    edges = tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if _exact_inner(rays[i], rays[j]) == (0, 0)
+    )
+    return tuple(basis_rays), state_rays, edges
+
+
+def exact_fragment(dim, bases, states):
+    """Exact Fragment straight from (re, im) Fraction rows, no basis check."""
+    def state(pairs):
+        v = np.array([complex(float(p), float(q)) for p, q in pairs])
+        return PureState(v / np.linalg.norm(v))
+
+    return Fragment(
+        dim=dim,
+        states=tuple(state(v) for v in states),
+        bases=tuple(tuple(state(v) for v in b) for b in bases),
+        exact=True,
+        exact_states=tuple(states),
+        exact_bases=tuple(bases),
+    )
+
+
+def gmul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c)
+
+
+F = Fraction
+GAUSS = [(F(0), F(0))] * 3 + [
+    (F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(1, 2), F(-1)), (F(2), F(0)),
+]
+FACTORS = [(F(-1), F(0)), (F(0), F(1)), (F(2, 3), F(0)), (F(1), F(-1)), (F(-3, 2), F(1, 5))]
+
+
+@st.composite
+def exact_cases(draw):
+    """Rows of Gaussian rationals with parallel copies scaled by Gaussian-
+    rational factors, cut into bases, plus states drawn from the same pool.
+    Some bases are orthogonal frames: permuted unit vectors with one pair
+    turned to (e_a + z e_b, -conj(z) e_a + e_b)."""
+    dim = draw(st.integers(min_value=2, max_value=4), label="dim")
+    vector = st.tuples(*[st.sampled_from(GAUSS)] * dim).filter(lambda v: any(map(any, v)))
+    pool = draw(st.lists(vector, min_size=1, max_size=6), label="pool")
+
+    def scaled(vec):
+        lam = draw(st.sampled_from(FACTORS))
+        return tuple(gmul(lam, c) for c in vec)
+
+    def frame():
+        axes = draw(st.permutations(range(dim)))
+        rows = [[(F(0), F(0))] * dim for _ in range(dim)]
+        for k, a in enumerate(axes):
+            rows[k][a] = (F(1), F(0))
+        re, im = draw(st.sampled_from(GAUSS))
+        a, b = axes[0], axes[1]
+        rows[0][b], rows[1][a] = (re, im), (-re, im)
+        pool.extend(map(tuple, rows))
+        return tuple(scaled(r) for r in rows)
+
+    n_bases = draw(st.integers(min_value=1, max_value=4), label="bases")
+    bases = [
+        frame() if draw(st.booleans()) else tuple(scaled(draw(st.sampled_from(pool)))
+                                                  for _ in range(dim))
+        for _ in range(n_bases)
+    ]
+
+    def row():
+        return scaled(draw(st.sampled_from(pool)))
+
+    states = [row() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    states += draw(st.lists(vector, max_size=2), label="unmeasured")
+    return dim, bases, states
 
 
 def triad_fragment(states):
@@ -169,6 +293,69 @@ class TestRays:
         assert len(rays.graph.edges) == 15
         assert len(rays.graph.complete_bases) == 5
         assert rays.state_rays[-1] is None  # the axis state is never measured
+
+
+class TestExactRayGeometry:
+    """The Gaussian-integer path against the Fraction pair loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=exact_cases())
+    def test_fragment_rays_match_fraction_oracle(self, case):
+        dim, bases, states = case
+        frag = exact_fragment(dim, bases, states)
+        rays = fragment_rays(frag)
+        basis_rays, state_rays, edges = oracle_rays(frag)
+        assert rays.basis_rays == basis_rays
+        assert rays.state_rays == state_rays
+        assert rays.graph.edges == edges
+        assert rays.graph.bases == graph_from_edges(len(rays.vectors), dim, edges).bases
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=exact_cases())
+    def test_basis_check_matches_fraction_oracle(self, case):
+        dim, bases, states = case
+        text = [f"dim={dim}", "exact", "state: " + " ".join(f"{p},{q}" for p, q in states[0])]
+        for b in bases:
+            text += ["basis:"] + [" ".join(f"{p},{q}" for p, q in v) for v in b]
+        bad = None
+        for k, b in enumerate(bases):
+            pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+            hit = next(((i, j) for i, j in pairs if _exact_inner(b[i], b[j]) != (0, 0)), None)
+            if hit is not None:
+                bad = (4 + k * (dim + 1), *hit)  # line of the k-th 'basis:' header
+                break
+        if bad is None:
+            parse_fragment("\n".join(text))
+        else:
+            with pytest.raises(FragmentError) as err:
+                parse_fragment("\n".join(text))
+            line, i, j = bad
+            assert str(err.value) == f"line {line}: basis vectors {i} and {j} are not orthogonal"
+
+    def test_no_overflow_near_3_to_the_40(self):
+        big = F(3**40)  # above the int64 range; its squares are far above
+
+        def g(re, im=0):
+            return (F(re), F(im))
+
+        u = (g(big), g(0, big + 1), g(0))
+        v = (g(big + 1), g(0, -big), g(0))  # conj(u) . v = 0
+        w = (g(2**32), g(0), g(1))
+        x = (g(2**32), g(1), g(0))  # conj(w) . x = 2**64, 0 mod 2**64
+        e3 = (g(0), g(0), g(1))
+        tilted_e3 = (g(0), g(0), g(1, big))  # parallel to e3
+        near_u = (g(big + 1), g(0, big + 2), g(0))
+        states = [tuple(gmul(g(big, big + 1), c) for c in u), near_u,
+                  tuple(gmul(g(0, 1), c) for c in x)]
+        frag = exact_fragment(3, [(u, v, e3), (w, x, tilted_e3)], states)
+        rays = fragment_rays(frag)
+        basis_rays, state_rays, edges = oracle_rays(frag)
+        assert (rays.basis_rays, rays.state_rays, rays.graph.edges) == (
+            basis_rays, state_rays, edges
+        )
+        assert basis_rays == ((0, 1, 2), (3, 4, 2))
+        assert state_rays == (0, None, 4)
+        assert (0, 1) in edges and (3, 4) not in edges
 
 
 class TestAtoms:
@@ -431,6 +618,22 @@ class TestAnalyze:
         assert rep["certificate"] == {
             "empty_atoms": True, "valuation_search": "unsat",
         }
+
+    def test_builds_the_atom_table_once(self, kcbs, monkeypatch):
+        from ontomodels import epibound
+
+        calls = []
+        inner = epibound.fragment_rays
+
+        def counting(frag):
+            calls.append(frag.name)
+            return inner(frag)
+
+        monkeypatch.setattr(epibound, "fragment_rays", counting)
+        rep = analyze(kcbs)
+        assert calls == ["kcbs"]
+        assert rep["n_atoms"] == feasibility_max_epistemic(kcbs).n_atoms
+        assert rep["f_star"] == float(max_overlap_fraction(kcbs).f_star)
 
     def test_reports_are_deterministic(self, kcbs):
         assert analyze(kcbs) == analyze(kcbs)

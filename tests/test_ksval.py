@@ -1,8 +1,9 @@
 """Tests for the exact valuation solver and the .vec file format."""
 
+import hashlib
 import itertools
 from fractions import Fraction
-from math import sqrt
+from math import gcd, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,45 @@ from ontomodels.ksval import (
 )
 
 R2 = Surd(0, 1, 2)
+
+
+# The Surd pair loops the integer ray algebra replaced, kept as its oracle.
+
+
+def _dot(u, v):
+    acc = Surd()
+    for a, b in zip(u, v):
+        acc = acc + a * b
+    return acc
+
+
+def _parallel(u, v):
+    d = len(u)
+    for i in range(d):
+        for j in range(i + 1, d):
+            if not (u[i] * v[j] - u[j] * v[i]).is_zero:
+                return False
+    return True
+
+
+def _first_parallel_pair(vectors):
+    """Indices (i, j), i < j, of the first parallel pair in row order, or None."""
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            if _parallel(vectors[i], vectors[j]):
+                return i, j
+    return None
+
+
+def oracle_edges(vectors):
+    n = len(vectors)
+    return tuple(
+        (i, j) for i in range(n) for j in range(i + 1, n) if _dot(vectors[i], vectors[j]).is_zero
+    )
+
+
+def labelled(dim, vectors, radical=0):
+    return VectorSet(dim, radical, tuple(vectors), tuple(f"v{k}" for k in range(len(vectors))))
 
 
 def brute_valuations(graph):
@@ -429,3 +469,129 @@ class TestVerifier:
         assert verify_valuation(g, (0, 0, 0), 3).ok
         assert verify_valuation(g, (1, 0, 1), 3).ok
         assert not verify_valuation(g, (1, 1, 0), 3).ok
+
+
+@st.composite
+def ray_sets(draw):
+    """A radical r, a dimension and rays over Q(sqrt r), with parallel and
+    antiparallel copies scaled by rational and by (a + b sqrt r) factors."""
+    r = draw(st.sampled_from((0, 2, 3, 5)), label="r")
+    dim = draw(st.integers(min_value=3, max_value=4), label="dim")
+    root = Surd(0, 1, r)
+    half = Fraction(1, 2)
+    coords = [Surd(0)] * 4 + [Surd(1), Surd(-1), Surd(2), Surd(half)]
+    if r:
+        coords += [root, -root, root + 1, 1 - root, half * root - 3]
+    vector = st.tuples(*[st.sampled_from(coords)] * dim).filter(
+        lambda v: not all(c.is_zero for c in v)
+    )
+    rays = draw(st.lists(vector, min_size=1, max_size=9), label="base")
+    factors = [Surd(-1), Surd(2), Surd(Fraction(-2, 3)), Surd(Fraction(5, 7))]
+    if r:
+        factors += [root, 1 - root, Surd(Fraction(-3, 2), 2, r), Surd(4, -1, r)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3), label="copies")):
+        src = draw(st.sampled_from(rays))
+        lam = draw(st.sampled_from(factors))
+        at = draw(st.integers(min_value=0, max_value=len(rays)))
+        rays.insert(at, tuple(lam * c for c in src))
+    return r, dim, rays
+
+
+class TestIntegerGeometry:
+    """The integer Gram / canonical-form path against the Surd pair loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=ray_sets())
+    def test_matches_surd_oracle(self, case, tmp_path_factory):
+        r, dim, rays = case
+        vset = labelled(dim, rays, r)
+        pair = _first_parallel_pair(rays)
+        path = tmp_path_factory.mktemp("rays") / "set.vec"
+        write_vector_set(vset, path)
+        if pair is None:
+            assert load_vector_set(path).vectors == vset.vectors
+            ksval.validate_vector_set(vset)
+        else:
+            i, j = pair
+            with pytest.raises(ValueError) as err:
+                build_graph(vset)
+            assert str(err.value) == f"parallel rays: v{i} and v{j}"
+            with pytest.raises(VectorFileError) as err:
+                load_vector_set(path)
+            # header on line 1, ray k on line k + 2
+            assert str(err.value) == (
+                f"{path}:{j + 2}: parallel rays at lines {i + 2} and {j + 2}"
+            )
+        kept = []
+        for v in rays:
+            if not any(_parallel(u, v) for u in kept):
+                kept.append(v)
+        g = build_graph(labelled(dim, kept, r))
+        expected = oracle_edges(kept)
+        assert g.edges == expected
+        assert g.bases == graph_from_edges(len(kept), dim, expected).bases
+
+    def test_first_pair_in_row_order(self):
+        # (1, 3) is found first in a scan by j, but (0, 4) comes first in row order
+        a, b = (Surd(1), Surd(0), Surd(0)), (Surd(0), Surd(1), R2)
+        rays = [a, b, (Surd(0), Surd(1), Surd(0)), tuple(2 * c for c in b),
+                tuple(Surd(Fraction(-1, 2)) * c for c in a)]
+        assert _first_parallel_pair(rays) == (0, 4)
+        with pytest.raises(ValueError, match="parallel rays: v0 and v4"):
+            build_graph(labelled(3, rays, 2))
+
+    def test_mixed_radicals_rejected(self):
+        vset = labelled(3, [(Surd(1), R2, Surd(0)), (Surd(0), Surd(0, 1, 3), Surd(1))])
+        with pytest.raises(ValueError, match=r"mixed radicals sqrt\(2\) and sqrt\(3\)"):
+            build_graph(vset)
+        with pytest.raises(ValueError, match="mixed radicals"):
+            ksval.validate_vector_set(vset)
+
+    def test_no_overflow_near_3_to_the_40(self):
+        big = 3**40  # above the int64 range; its squares are far above
+        s = Surd
+        rays = [
+            (s(big), s(big + 1), s(0)),
+            (s(big + 1), s(-big), s(0)),  # orthogonal to the first
+            (s(big + 1), s(big + 2), s(0)),  # nearly parallel to the first
+            (s(2**32), s(0), s(1)),
+            (s(2**32), s(1), s(0)),  # dot with the previous is 2**64, 0 mod 2**64
+            (s(0, big, 2), s(1), s(big)),
+            (s(big), s(0), s(-big, 0)),
+            (s(0, 1, 2), s(0), s(Fraction(1, big))),
+        ]
+        g = build_graph(labelled(3, rays, 2))
+        assert g.edges == oracle_edges(rays)
+        assert (0, 1) in g.edges and (3, 4) not in g.edges
+        twice = [tuple(2 * c for c in rays[0])]
+        with pytest.raises(ValueError, match="parallel rays: v0 and v8"):
+            build_graph(labelled(3, rays + twice, 2))
+        scaled = [tuple(s(big, big + 1, 2) * c for c in rays[5])]
+        with pytest.raises(ValueError, match="parallel rays: v5 and v8"):
+            build_graph(labelled(3, rays + scaled, 2))
+
+    def test_rays272_golden(self, tmp_path):
+        # the primitive rays of {0,+-1,+-2}^4, first nonzero entry positive;
+        # counts and the edge-list digest were taken with the Surd oracle
+        rays = [
+            v
+            for v in itertools.product((0, 1, -1, 2, -2), repeat=4)
+            if any(v) and next(x for x in v if x) > 0 and gcd(*v) == 1
+        ]
+        path = tmp_path / "rays272.vec"
+        write_vector_set(labelled(4, [tuple(Surd(c) for c in v) for v in rays]), path)
+        g = build_graph(load_vector_set(path))
+        assert (g.n, len(g.edges), len(g.complete_bases)) == (272, 3760, 380)
+        text = ";".join(f"{i},{j}" for i, j in g.edges)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "049da385e75a3536"
+        res = find_valuation(g, 4)
+        assert not res.satisfiable
+        assert res.stats.decisions == 18
+
+
+class TestLimit:
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, limit):
+        g = build_graph(load_vector_set(vector_path("triad3.vec")))
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            enumerate_valuations(g, 3, limit=limit)
