@@ -47,7 +47,7 @@ def main():
     print('  Born target |<phi|psi>|^2 = {:.12f}'.format(born_probability(phi, psi)))
     for spec in ('quad:17', 'quad:33', 'mc:200000'):
         engine = parse_engine(spec, seed=SEED)
-        est = predict_probability(model, psi, None, phi, sm, engine)
+        est = predict_probability(model, psi, phi, sm, engine)
         err = '' if est.stderr is None else ' +/- {:.1e}'.format(est.stderr)
         print('  {:10s} predicts    {:.12f}{}'.format(spec, est.value, err))
 

@@ -4,16 +4,22 @@ All statistical predictions of an ontological model are integrals over its
 ontic space.  Three interchangeable engines evaluate them:
 
 * ``ClosedForm`` handles point-supported epistemic states and models that
-  supply an analytic response mean; results are exact.
+  supply an analytic response mean; results are exact to 1e-12.
 * ``SphereQuadrature`` integrates over the unit 2-sphere with a product
   Gauss-Legendre (polar) x trapezoid/Gauss-Legendre (azimuth) rule.  Callers
   pass ``split_axes``, the unit normals of great circles across which the
   integrand is discontinuous or kinked; the rule splits its panels on those
   circles, so piecewise-smooth integrands converge at smooth-integrand rates.
+  Its tolerance is 1e-6 at every level, so ``parse_engine`` accepts levels
+  from ``QUAD_MIN_LEVEL`` up, the lowest that keeps the hemisphere integrals
+  of ``ks`` inside it.
 * ``MonteCarlo`` averages a function over draws from a caller-supplied
   sampler.  Work is cut into fixed-size blocks, each fed by its own labeled
   stream, so totals are independent of how the blocks are scheduled and any
   single sample can be regenerated from (seed, labels, index).
+
+Which engine evaluates which integral over an epistemic state is decided in
+one place, ``framework._expect``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 from .rng import DEFAULT_SEED, stream
 
 MC_BLOCK = 1 << 16
+QUAD_MIN_LEVEL = 15
 
 
 def _block_sizes(n: int, block: int) -> list:
@@ -61,11 +68,8 @@ class Estimate:
 class ClosedForm:
     """Marker engine: integrals collapse to finite sums or analytic values."""
 
-    kind = "closed"
     spec = "closed"
-
-    def __init__(self, tolerance: float = 1e-12):
-        self.tolerance = float(tolerance)
+    tolerance = 1e-12
 
     def estimate(self, value: float) -> Estimate:
         return Estimate(float(value), self.tolerance, self.spec)
@@ -104,13 +108,12 @@ class SphereQuadrature:
     born), and the azimuth circle is split at the arc boundaries.
     """
 
-    kind = "quad"
+    tolerance = 1e-6
 
-    def __init__(self, level: int = 17, tolerance: float = 1e-6):
+    def __init__(self, level: int = 17):
         if level < 2:
             raise EngineError("quadrature level must be at least 2")
         self.level = int(level)
-        self.tolerance = float(tolerance)
 
     @property
     def spec(self) -> str:
@@ -259,8 +262,6 @@ class MonteCarlo:
     evaluation order.
     """
 
-    kind = "mc"
-
     def __init__(self, n_samples: int, seed: int | None = None):
         if n_samples < 2:
             raise EngineError("Monte Carlo needs at least 2 samples")
@@ -322,7 +323,8 @@ def sample_sphere(rng: np.random.Generator, m: int) -> np.ndarray:
 def parse_engine(spec: str, *, seed: int | None = None):
     """Build an engine from a compact spec string.
 
-    Accepted forms: "closed", "quad:<level>", "mc:<n_samples>".
+    Accepted forms: "closed", "quad:<level>" with level at least
+    QUAD_MIN_LEVEL, "mc:<n_samples>".
     """
     parts = str(spec).strip().split(":")
     name = parts[0]
@@ -334,9 +336,15 @@ def parse_engine(spec: str, *, seed: int | None = None):
         if len(parts) != 2:
             raise EngineError(f"bad engine spec {spec!r}")
         try:
-            return SphereQuadrature(int(parts[1]))
+            level = int(parts[1])
         except ValueError as exc:
             raise EngineError(f"bad engine spec {spec!r}") from exc
+        if level < QUAD_MIN_LEVEL:
+            raise EngineError(
+                f"quadrature level {level} is below {QUAD_MIN_LEVEL}, the lowest "
+                f"level held to the {SphereQuadrature.tolerance:g} tolerance"
+            )
+        return SphereQuadrature(level)
     if name == "mc":
         if len(parts) != 2:
             raise EngineError(f"bad engine spec {spec!r}")

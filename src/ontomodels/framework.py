@@ -112,7 +112,6 @@ class OnticSpace:
     dim: int
     reference_sampler: object = field(repr=False)
     reference_mass: float = 1.0
-    aux: str = ""
     atoms: tuple = ()
 
 
@@ -320,11 +319,6 @@ def mixture_state(space, weighted_parts, label: str) -> EpistemicState:
     )
 
 
-def _point_mass_sum(mu: EpistemicState, f) -> float:
-    atoms, weights = mu.point_masses
-    return float(weights @ np.asarray(f(atoms), dtype=float))
-
-
 def point_mass_tv(pm_a, pm_b) -> float:
     """Total variation between two lists of (PureState, weight) atoms.
 
@@ -360,16 +354,32 @@ def point_mass_tv(pm_a, pm_b) -> float:
 # Prediction and Born verification
 
 
-def _response_axes(model, phi, sm):
-    if model.respond.split_axes is None:
-        return ()
-    return tuple(model.respond.split_axes(phi, sm))
+def _expect(model, mu: EpistemicState, f, engine, axes, *labels) -> Estimate:
+    """E_mu[f], the one place an engine is matched to an epistemic state:
+    an exact sum over point masses (stderr 0 under Monte Carlo), sphere
+    quadrature of f times the density split on ``axes``, or a Monte Carlo
+    mean over the state's sampler on the stream named by ``labels``."""
+    if mu.point_masses is not None:
+        atoms, weights = mu.point_masses
+        val = float(weights @ np.asarray(f(atoms), dtype=float))
+        stderr = 0.0 if isinstance(engine, MonteCarlo) else None
+        return Estimate(val, EXACT_TOL, engine.spec, stderr=stderr)
+    if isinstance(engine, SphereQuadrature):
+        if mu.space.kind != "sphere2" or mu.density is None:
+            raise EngineError(
+                f"sphere quadrature cannot integrate {model.name} states"
+            )
+        return engine.estimate(lambda pts: f(pts) * mu.density(pts), axes)
+    if isinstance(engine, MonteCarlo):
+        if mu.sampler is None:
+            raise EngineError(f"model {model.name} states expose no sampler")
+        return engine.mean(mu.sampler, f, *labels)
+    raise EngineError(f"engine {engine.spec} cannot integrate {model.name} states")
 
 
 def predict_probability(
     model: OntologicalModel,
     psi: PureState,
-    sp: PrepContext | None,
     phi: PureState,
     sm: MeasContext | None,
     engine,
@@ -381,43 +391,20 @@ def predict_probability(
     model.check_dim(psi.dim)
     if sm is None:
         sm = measurement_of(phi)
-    mu = model.prepare(psi, sp)
-    evaluate = model.respond.evaluate
-
-    if mu.point_masses is not None:
-        val = _point_mass_sum(mu, lambda batch: evaluate(phi, batch, sm))
-        if isinstance(engine, MonteCarlo):
-            return Estimate(val, EXACT_TOL, engine.spec, stderr=0.0)
-        spec = engine.spec if hasattr(engine, "spec") else "closed"
-        return Estimate(val, EXACT_TOL, spec)
-
-    if isinstance(engine, ClosedForm):
+    mu = model.prepare(psi)
+    if mu.point_masses is None and isinstance(engine, ClosedForm):
         if model.closed_response_mean is None:
             raise EngineError(
                 f"model {model.name} has no closed-form response mean"
             )
-        return engine.estimate(model.closed_response_mean(psi, sp, phi, sm))
+        return engine.estimate(model.closed_response_mean(psi, phi, sm))
 
-    if isinstance(engine, SphereQuadrature):
-        if mu.space.kind != "sphere2" or mu.density is None:
-            raise EngineError(
-                f"sphere quadrature cannot integrate {model.name} states"
-            )
-        axes = tuple(mu.split_axes) + _response_axes(model, phi, sm)
-        return engine.estimate(
-            lambda pts: evaluate(phi, pts, sm) * mu.density(pts), axes
-        )
-
-    if isinstance(engine, MonteCarlo):
-        if mu.sampler is None:
-            raise EngineError(f"model {model.name} states expose no sampler")
-        return engine.mean(
-            mu.sampler,
-            lambda batch: evaluate(phi, batch, sm),
-            "predict", model.name, mu.label, sm.label, state_label(phi),
-        )
-
-    raise EngineError(f"unknown engine {engine!r}")
+    split = model.respond.split_axes
+    axes = tuple(mu.split_axes) + (tuple(split(phi, sm)) if split else ())
+    return _expect(
+        model, mu, lambda batch: model.respond.evaluate(phi, batch, sm), engine, axes,
+        "predict", model.name, mu.label, sm.label, state_label(phi),
+    )
 
 
 @dataclass(frozen=True)
@@ -479,7 +466,7 @@ def _born_report(model, pairs, engine) -> BornReport:
     devs = []
     for psi, sm in pairs:
         for phi in sm.payload:
-            est = predict_probability(model, psi, None, phi, sm, engine)
+            est = predict_probability(model, psi, phi, sm, engine)
             target = born_probability(phi, psi)
             devs.append(
                 PairDeviation(
@@ -685,38 +672,14 @@ def overlap_fraction(model, phi, psi, engine) -> Estimate:
     born = born_probability(phi, psi)
     if born <= EXACT_TOL:
         raise OrthogonalPairError("overlap fraction undefined for orthogonal pair")
-    mu_psi = model.prepare(psi)
-    lam_phi = model.prepare(phi).support
-
-    if mu_psi.point_masses is not None:
-        num = _point_mass_sum(mu_psi, lambda b: np.asarray(lam_phi(b), dtype=float))
-        spec = engine.spec if hasattr(engine, "spec") else "closed"
-        return Estimate(num / born, EXACT_TOL / born, spec)
-
-    if isinstance(engine, SphereQuadrature):
-        if mu_psi.space.kind != "sphere2" or mu_psi.density is None:
-            raise EngineError(f"quadrature cannot integrate {model.name} states")
-        axes = tuple(mu_psi.split_axes) + tuple(model.prepare(phi).split_axes)
-        num = engine.integrate(
-            lambda pts: np.asarray(lam_phi(pts), dtype=float) * mu_psi.density(pts),
-            axes,
-        )
-        return Estimate(num / born, engine.tolerance / born, engine.spec)
-
-    if isinstance(engine, MonteCarlo):
-        if mu_psi.sampler is None:
-            raise EngineError(f"model {model.name} states expose no sampler")
-        est = engine.mean(
-            mu_psi.sampler,
-            lambda b: np.asarray(lam_phi(b), dtype=float),
-            "overlap", model.name, mu_psi.label, state_label(phi),
-        )
-        return Estimate(
-            est.value / born, est.tolerance / born, est.spec,
-            stderr=est.stderr / born,
-        )
-
-    raise EngineError("overlap fraction needs a quadrature or Monte Carlo engine")
+    mu_psi, mu_phi = model.prepare(psi), model.prepare(phi)
+    est = _expect(
+        model, mu_psi, lambda b: np.asarray(mu_phi.support(b), dtype=float), engine,
+        tuple(mu_psi.split_axes) + tuple(mu_phi.split_axes),
+        "overlap", model.name, mu_psi.label, state_label(phi),
+    )
+    stderr = None if est.stderr is None else est.stderr / born
+    return Estimate(est.value / born, est.tolerance / born, est.spec, stderr=stderr)
 
 
 def _nonorthogonal_pair(dim, rng, min_born=0.05):
@@ -972,7 +935,9 @@ def prep_context_distance(model, rho: DensityOperator, ctx_a, ctx_b, engine) -> 
             )
         return point_mass_tv(pm[0], pm[1])
 
-    if isinstance(engine, ClosedForm):
+    # The integrals below are against the reference measure, not an
+    # epistemic state, so they need both densities.
+    if isinstance(engine, ClosedForm) or mu_a.density is None or mu_b.density is None:
         if model.prep_tv_closed is None:
             raise EngineError(
                 f"model {model.name} has no closed-form preparation distance"
@@ -980,10 +945,6 @@ def prep_context_distance(model, rho: DensityOperator, ctx_a, ctx_b, engine) -> 
         return float(model.prep_tv_closed(ctx_a.payload, ctx_b.payload))
 
     if isinstance(engine, SphereQuadrature):
-        if mu_a.density is None or mu_b.density is None:
-            if model.prep_tv_closed is not None:
-                return float(model.prep_tv_closed(ctx_a.payload, ctx_b.payload))
-            raise EngineError("quadrature preparation distance needs densities")
         axes = tuple(mu_a.split_axes) + tuple(mu_b.split_axes)
         extra = []
         # Kinks of |f_a - f_b| also lie where the two densities cross;
@@ -999,10 +960,6 @@ def prep_context_distance(model, rho: DensityOperator, ctx_a, ctx_b, engine) -> 
         return 0.5 * engine.integrate(integrand, axes + tuple(extra))
 
     if isinstance(engine, MonteCarlo):
-        if mu_a.density is None or mu_b.density is None:
-            if model.prep_tv_closed is not None:
-                return float(model.prep_tv_closed(ctx_a.payload, ctx_b.payload))
-            raise EngineError("Monte Carlo preparation distance needs densities")
         space = model.ontic_space
         est = engine.mean(
             space.reference_sampler,

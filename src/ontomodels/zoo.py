@@ -33,8 +33,9 @@ import math
 
 import numpy as np
 
-from .engines import sample_sphere
+from .engines import _frame, sample_sphere
 from .framework import (
+    XI_TOL,
     DeclaredProperties,
     EpistemicState,
     MeasContext,
@@ -47,8 +48,6 @@ from .framework import (
 )
 from .hilbert import PureState, fidelity_rows, state_to_bloch
 
-XI_TOL = 1e-9
-
 
 class UnknownModelError(ValueError):
     pass
@@ -59,14 +58,9 @@ def _haar(rng, m, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _fidelity(chi, s: PureState):
-    """|<chi_row|s>|^2 for each row of a complex (m, d) batch."""
-    return fidelity_rows(chi, s)
-
-
 def _find_outcome(phi: PureState, payload) -> int:
     for i, b in enumerate(payload):
-        if _fidelity(phi.amplitudes[None, :], b)[0] > 1.0 - XI_TOL:
+        if fidelity_rows(phi.amplitudes[None, :], b)[0] > 1.0 - XI_TOL:
             return i
     raise ValueError("outcome state is not an element of the measurement basis")
 
@@ -90,18 +84,18 @@ def make_bb(d: int = 2) -> OntologicalModel:
         return EpistemicState(
             space=space,
             label=state_label(psi),
-            support=lambda batch: _fidelity(batch, psi) > 1.0 - XI_TOL,
+            support=lambda batch: fidelity_rows(batch, psi) > 1.0 - XI_TOL,
             sampler=lambda rng, m: np.tile(psi.amplitudes, (m, 1)),
             point_masses=(atoms, np.array([1.0])),
         )
 
     def evaluate(phi, batch, sm):
-        return _fidelity(batch, phi)
+        return fidelity_rows(batch, phi)
 
     respond = ResponseFunction(
         evaluate=evaluate,
-        core=lambda phi, batch, sm: _fidelity(batch, phi) > 1.0 - XI_TOL,
-        support=lambda phi, batch, sm: _fidelity(batch, phi) > XI_TOL,
+        core=lambda phi, batch, sm: fidelity_rows(batch, phi) > 1.0 - XI_TOL,
+        support=lambda phi, batch, sm: fidelity_rows(batch, phi) > XI_TOL,
     )
 
     return OntologicalModel(
@@ -142,12 +136,7 @@ def make_ks() -> OntologicalModel:
 
     def prepare_pure(psi: PureState) -> EpistemicState:
         n = _bloch(psi)
-        k = int(np.argmin(np.abs(n)))
-        a = np.zeros(3)
-        a[k] = 1.0
-        e1 = a - (a @ n) * n
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(n, e1)
+        e1, e2, _ = _frame(n)
 
         def sampler(rng, m):
             # Density (n.lam)/pi on the hemisphere: height above the
@@ -204,6 +193,24 @@ def make_ks() -> OntologicalModel:
 
 
 # ---------------------------------------------------------------------------
+# Shared by the models whose ontic state is (quantum state, auxiliary part)
+
+
+def _replace_state_register(batch, psi: PureState):
+    """The batch with every stored quantum state replaced by psi."""
+    return np.tile(psi.amplitudes, (batch[0].shape[0], 1)), batch[1]
+
+
+def _decomposition_tv(da, db) -> float:
+    """Total variation between the states two decompositions prepare: each
+    pure component is a point mass on its own register value."""
+    return point_mass_tv(
+        [(s, w) for w, s in da.components],
+        [(s, w) for w, s in db.components],
+    )
+
+
+# ---------------------------------------------------------------------------
 # bell2: quantum state plus one uniform random number
 
 
@@ -229,24 +236,23 @@ def make_bell2() -> OntologicalModel:
         kind="composite",
         dim=2,
         reference_sampler=lambda rng, m: (_haar(rng, m, 2), rng.random(m)),
-        aux="uniform01",
     )
 
     def prepare_pure(psi: PureState) -> EpistemicState:
         return EpistemicState(
             space=space,
             label=state_label(psi),
-            support=lambda batch: _fidelity(batch[0], psi) > 1.0 - XI_TOL,
+            support=lambda batch: fidelity_rows(batch[0], psi) > 1.0 - XI_TOL,
             sampler=lambda rng, m: (np.tile(psi.amplitudes, (m, 1)), rng.random(m)),
         )
 
     def decide(phi, batch, sm):
         chi, x = batch
         b1, b2 = _ordered_pair(sm)
-        p1 = _fidelity(chi, b1)
-        if _fidelity(phi.amplitudes[None, :], b1)[0] > 1.0 - XI_TOL:
+        p1 = fidelity_rows(chi, b1)
+        if fidelity_rows(phi.amplitudes[None, :], b1)[0] > 1.0 - XI_TOL:
             return x < p1
-        if _fidelity(phi.amplitudes[None, :], b2)[0] > 1.0 - XI_TOL:
+        if fidelity_rows(phi.amplitudes[None, :], b2)[0] > 1.0 - XI_TOL:
             return x >= p1
         raise ValueError("outcome state is not an element of the measurement basis")
 
@@ -256,12 +262,12 @@ def make_bell2() -> OntologicalModel:
         support=decide,
     )
 
-    def closed_response_mean(psi, sp, phi, sm):
+    def closed_response_mean(psi, phi, sm):
         b1, b2 = _ordered_pair(sm)
-        p1 = float(_fidelity(psi.amplitudes[None, :], b1)[0])
-        if _fidelity(phi.amplitudes[None, :], b1)[0] > 1.0 - XI_TOL:
+        p1 = float(fidelity_rows(psi.amplitudes[None, :], b1)[0])
+        if fidelity_rows(phi.amplitudes[None, :], b1)[0] > 1.0 - XI_TOL:
             return p1
-        if _fidelity(phi.amplitudes[None, :], b2)[0] > 1.0 - XI_TOL:
+        if fidelity_rows(phi.amplitudes[None, :], b2)[0] > 1.0 - XI_TOL:
             return 1.0 - p1
         raise ValueError("outcome state is not an element of the measurement basis")
 
@@ -281,15 +287,9 @@ def make_bell2() -> OntologicalModel:
         ),
         supported_dims=frozenset({2}),
         state_register="component",
-        replace_state_register=lambda batch, psi: (
-            np.tile(psi.amplitudes, (batch[0].shape[0], 1)),
-            batch[1],
-        ),
+        replace_state_register=_replace_state_register,
         closed_response_mean=closed_response_mean,
-        prep_tv_closed=lambda da, db: point_mass_tv(
-            [(s, w) for w, s in da.components],
-            [(s, w) for w, s in db.components],
-        ),
+        prep_tv_closed=_decomposition_tv,
         default_engine_spec="mc:200000",
     )
 
@@ -309,14 +309,13 @@ def make_ws(d: int = 3) -> OntologicalModel:
         kind="composite",
         dim=d,
         reference_sampler=lambda rng, m: (_haar(rng, m, d), gauss(rng, m)),
-        aux="gaussian",
     )
 
     def prepare_pure(psi: PureState) -> EpistemicState:
         return EpistemicState(
             space=space,
             label=state_label(psi),
-            support=lambda batch: _fidelity(batch[0], psi) > 1.0 - XI_TOL,
+            support=lambda batch: fidelity_rows(batch[0], psi) > 1.0 - XI_TOL,
             sampler=lambda rng, m: (np.tile(psi.amplitudes, (m, 1)), gauss(rng, m)),
         )
 
@@ -359,14 +358,8 @@ def make_ws(d: int = 3) -> OntologicalModel:
         ),
         supported_dims=frozenset({d}),
         state_register="component",
-        replace_state_register=lambda batch, psi: (
-            np.tile(psi.amplitudes, (batch[0].shape[0], 1)),
-            batch[1],
-        ),
-        prep_tv_closed=lambda da, db: point_mass_tv(
-            [(s, w) for w, s in da.components],
-            [(s, w) for w, s in db.components],
-        ),
+        replace_state_register=_replace_state_register,
+        prep_tv_closed=_decomposition_tv,
         default_engine_spec="mc:200000",
     )
 

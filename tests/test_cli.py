@@ -87,6 +87,16 @@ class TestVerify:
         assert rc == 2
         assert "ontomodels: error:" in err
 
+    def test_quadrature_below_minimum_level_is_usage_error(self):
+        # Levels up to 14 fail the correct ks model at the 1e-6 tolerance.
+        rc, out, err = run_cli("verify", "--model", "ks", "--engine", "quad:14")
+        assert rc == 2
+        assert out == ""
+        assert "below 15" in err
+        rc, rep = run_json("verify", "--model", "ks", "--engine", "quad:15")
+        assert rc == 0
+        assert rep["report"]["passed"] is True
+
     def test_envelope_shape(self):
         rc, rep = run_json(
             "verify", "--model", "bb:3", "--engine", "closed", "--pairs", "3"

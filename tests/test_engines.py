@@ -12,6 +12,7 @@ from ontomodels.engines import (
     ClosedForm,
     EngineError,
     MC_BLOCK,
+    QUAD_MIN_LEVEL,
     MonteCarlo,
     SphereQuadrature,
     _frame,
@@ -353,6 +354,12 @@ class TestParseEngine:
     def test_rejects_malformed(self, bad):
         with pytest.raises(EngineError):
             parse_engine(bad)
+
+    @pytest.mark.parametrize("level", [2, 14])
+    def test_rejects_quadrature_below_minimum_level(self, level):
+        with pytest.raises(EngineError, match=f"below {QUAD_MIN_LEVEL}"):
+            parse_engine(f"quad:{level}")
+        assert SphereQuadrature(level).level == level
 
     def test_closed_form_estimate_is_tight(self):
         est = ClosedForm().estimate(0.5)

@@ -78,12 +78,12 @@ class TestPredictProbability:
     def test_ks_identical_states(self):
         ks = make_ks()
         psi = state(1, 1j)
-        est = fw.predict_probability(ks, psi, None, psi, None, QUAD)
+        est = fw.predict_probability(ks, psi, psi, None, QUAD)
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
     def test_ks_orthogonal_bloch_axes(self):
         ks = make_ks()
-        est = fw.predict_probability(ks, basis_state(2, 0), None, state(1, 1), None, QUAD)
+        est = fw.predict_probability(ks, basis_state(2, 0), state(1, 1), None, QUAD)
         assert est.value == pytest.approx(0.5, abs=1e-6)
 
     def test_bb_closed_form_is_born(self):
@@ -91,7 +91,7 @@ class TestPredictProbability:
         rng = np.random.default_rng(0)
         for _ in range(10):
             psi, phi = random_state(3, rng), random_state(3, rng)
-            est = fw.predict_probability(bb, psi, None, phi, None, CLOSED)
+            est = fw.predict_probability(bb, psi, phi, None, CLOSED)
             assert est.value == pytest.approx(
                 fw.born_probability(phi, psi), abs=1e-12
             )
@@ -99,24 +99,24 @@ class TestPredictProbability:
     def test_unsupported_dim_rejected(self):
         with pytest.raises(UnsupportedDimensionError):
             fw.predict_probability(
-                make_bb(2), basis_state(3, 0), None, basis_state(3, 1), None, CLOSED
+                make_bb(2), basis_state(3, 0), basis_state(3, 1), None, CLOSED
             )
 
     def test_ks_has_no_closed_form(self):
         with pytest.raises(EngineError):
             fw.predict_probability(
-                make_ks(), basis_state(2, 0), None, state(1, 1), None, CLOSED
+                make_ks(), basis_state(2, 0), state(1, 1), None, CLOSED
             )
 
     def test_quadrature_rejects_composite_spaces(self):
         with pytest.raises(EngineError):
             fw.predict_probability(
-                make_bell2(), basis_state(2, 0), None, state(1, 1), None, QUAD
+                make_bell2(), basis_state(2, 0), state(1, 1), None, QUAD
             )
 
     def test_monte_carlo_reports_standard_error(self):
         est = fw.predict_probability(
-            make_bell2(), basis_state(2, 0), None, state(1, 1), None, mc(20_000)
+            make_bell2(), basis_state(2, 0), state(1, 1), None, mc(20_000)
         )
         assert est.stderr is not None and est.stderr > 0
         assert abs(est.value - 0.5) <= est.tolerance
@@ -234,7 +234,7 @@ class TestOverlapFraction:
             if born < 0.05:
                 continue
             est = fw.overlap_fraction(ks, phi, psi, QUAD)
-            pred = fw.predict_probability(ks, psi, None, phi, None, QUAD)
+            pred = fw.predict_probability(ks, psi, phi, None, QUAD)
             assert est.value * born <= pred.value + 2e-6
 
 

@@ -61,7 +61,7 @@ class TestBB:
         bb = make_bb(4)
         rng = np.random.default_rng(1)
         psi, phi = random_state(4, rng), random_state(4, rng)
-        est = fw.predict_probability(bb, psi, None, phi, None, CLOSED)
+        est = fw.predict_probability(bb, psi, phi, None, CLOSED)
         assert est.value == pytest.approx(fw.born_probability(phi, psi), abs=1e-12)
 
     def test_overlap_zero_for_distinct_states(self):
@@ -94,8 +94,8 @@ class TestKS:
         ks = make_ks()
         psi = state(1, 1)
         opp = orthogonal_qubit(psi)
-        assert fw.predict_probability(ks, psi, None, psi, None, QUAD).value == pytest.approx(1.0, abs=1e-6)
-        assert fw.predict_probability(ks, psi, None, opp, None, QUAD).value == pytest.approx(0.0, abs=1e-6)
+        assert fw.predict_probability(ks, psi, psi, None, QUAD).value == pytest.approx(1.0, abs=1e-6)
+        assert fw.predict_probability(ks, psi, opp, None, QUAD).value == pytest.approx(0.0, abs=1e-6)
 
     def test_overlap_fraction_is_one_on_many_pairs(self):
         ks = make_ks()
