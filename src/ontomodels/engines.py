@@ -96,6 +96,32 @@ def _frame(axis: np.ndarray):
     return e1, e2, axis
 
 
+def _graded(a: float, b: float, gap: float, at_b: bool) -> list:
+    """Polar panel [a, b], cut geometrically toward the pole, which lies
+    ``gap`` beyond b if ``at_b``, else beyond a.
+
+    Every arc bound involves r = sqrt(1 - u^2), singular at the poles, so a
+    panel ending much closer to a pole than its own width has a singularity
+    just outside it, where Gauss-Legendre converges slowly: the lune of two
+    axes 88.4 degrees apart (polar cap 3.5e-4 wide) came out 1.6e-5 off at
+    level 6, and such lunes up to 5e-7 off at level 17.  Cuts at 8, 64, ...
+    gaps from that end keep the pole at least 1/16 of a panel width away
+    from every panel.  Panels whose gap is zero or 1/64 of their width or
+    more are left whole.
+    """
+    width = b - a
+    steps = []
+    step = 8.0 * gap
+    while 0.0 < gap < width / 64.0 and step < width / 2.0:
+        steps.append(step)
+        step *= 8.0
+    if at_b:
+        edges = [a] + [b - s for s in reversed(steps)] + [b]
+    else:
+        edges = [a] + [a + s for s in steps] + [b]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 class SphereQuadrature:
     """Deterministic quadrature over the unit sphere.
 
@@ -105,7 +131,9 @@ class SphereQuadrature:
     With split axes, the polar range is split where arcs of the splitting
     circles appear or cross, each panel is mapped through a sin^2 change of
     variable (absorbing the square-root behavior an arc has where it is
-    born), and the azimuth circle is split at the arc boundaries.
+    born), and the azimuth circle is split at the arc boundaries.  Panels
+    that end much closer to a pole than their width are cut geometrically
+    toward it (``_graded``).
     """
 
     tolerance = 1e-6
@@ -173,6 +201,11 @@ class SphereQuadrature:
         for a, b in zip(grid[:-1], grid[1:]):
             if b - a > 1e-13:
                 panels.append((a, b))
+        panels = [
+            p
+            for a, b in panels
+            for p in (_graded(a, b, 1.0 - b, True) if b > 0.0 else _graded(a, b, a + 1.0, False))
+        ]
 
         n_u = 2 * self.level + 1
         xt, wt = _gl(n_u)

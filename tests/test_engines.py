@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontomodels.engines import (
@@ -16,6 +16,7 @@ from ontomodels.engines import (
     MonteCarlo,
     SphereQuadrature,
     _frame,
+    _graded,
     parse_engine,
     sample_sphere,
 )
@@ -139,14 +140,18 @@ class TestSphereQuadrature:
         st.lists(AXIS, min_size=1, max_size=5),
         st.integers(2, 33),
     )
+    # Axes 88.4 degrees apart: a polar cap 3.5e-4 wide, 1.6e-5 off at
+    # level 6 before panels were graded toward the poles.
+    @example(axes=[np.array((-1.0, -1.0, 0.5625)), np.array((-1.0, 0.5, -1.0))], level=6)
     @settings(max_examples=60, deadline=None)
     def test_split_rule_integrates_area_and_lune(self, axes, level):
         # The lune of the first and last axis is split on both circles;
         # extra axes add arcs, so latitude rows carry 0, 2, 4, ... bounds.
         # Tolerances: level 2 has 5 polar nodes per panel and its area
         # misses 4 pi by 6.9e-7; the lune error falls below 1e-6 from
-        # level 6 on (worst over 2000 random axis sets: 9.1e-4 at level 2,
-        # 3.6e-7 at level 8, 1.3e-7 at level 17).
+        # level 6 on (worst over 2000 random axis sets, half with the last
+        # axis nearly orthogonal to the first: 4.8e-4 at level 2, 5.1e-7 at
+        # level 6, 1.7e-9 at level 17).
         pts, w = SphereQuadrature(level).nodes(axes)
         n, m = (a / np.linalg.norm(a) for a in (axes[0], axes[-1]))
         assert w.sum() == pytest.approx(
@@ -181,6 +186,11 @@ def _loop_split_nodes(level, axes):
                 cuts.update((h, -h))
     grid = sorted(c for c in cuts if -1.0 <= c <= 1.0)
     panels = [(a, b) for a, b in zip(grid[:-1], grid[1:]) if b - a > 1e-13]
+    panels = [
+        p
+        for a, b in panels
+        for p in (_graded(a, b, 1.0 - b, True) if b > 0.0 else _graded(a, b, a + 1.0, False))
+    ]
 
     n = 2 * level + 1
     xt, wt = np.polynomial.legendre.leggauss(n)
