@@ -288,16 +288,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         f"max deviation={report.max_deviation:.6g}",
         "PASS" if report.passed else "FAIL",
     ]
-    csv_rows = [
-        {
-            "psi": d.psi_label, "phi": d.phi_label, "basis": d.basis_label,
-            "predicted": d.predicted, "born": d.born,
-            "deviation": d.deviation, "tolerance": d.tolerance,
-        }
-        for d in report.deviations
-    ]
     csv_cols = ("psi", "phi", "basis", "predicted", "born", "deviation", "tolerance")
-    _emit(cfg, envelope, "\n".join(lines), (csv_cols, csv_rows))
+    _emit(cfg, envelope, "\n".join(lines), (csv_cols, body["pairs"]))
     return 0 if report.passed else 1
 
 

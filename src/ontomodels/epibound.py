@@ -42,13 +42,10 @@ from .framework import (
     OntologicalModel,
     ResponseFunction,
 )
-from .hilbert import PureState, born_probability
+from .hilbert import PureState
 from .ksval import (
     OrthogonalityGraph,
     _integer_rays,
-    _orthogonal,
-    _orthogonal_pairs,
-    _ray_keys,
     enumerate_valuations,
     find_valuation,
     graph_from_edges,
@@ -134,10 +131,7 @@ def _float_vector(tokens, lineno: int, dim: int) -> PureState:
             f"line {lineno}: expected {dim} amplitudes, got {len(tokens)}"
         )
     v = np.array([_parse_amp_float(t, lineno) for t in tokens])
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise FragmentError(f"line {lineno}: zero vector")
-    return PureState(v / norm)
+    return _unit_state(v, lineno, zero_norm=1e-12)
 
 
 def _exact_vector(tokens, lineno: int, dim: int):
@@ -151,9 +145,29 @@ def _exact_vector(tokens, lineno: int, dim: int):
     return pairs
 
 
-def _exact_to_state(pairs) -> PureState:
-    v = np.array([complex(float(p), float(q)) for p, q in pairs])
-    return PureState(v / np.linalg.norm(v))
+def _exact_to_state(pairs, lineno: int) -> PureState:
+    try:
+        v = np.array([complex(float(p), float(q)) for p, q in pairs])
+    except OverflowError:  # beyond the float range: no unit vector below
+        v = np.full(len(pairs), np.inf)
+    return _unit_state(v, lineno, zero_norm=0.0)
+
+
+def _unit_state(v, lineno: int, zero_norm: float) -> PureState:
+    """v over its norm, the float form both modes keep of every vector.
+    NaN, infinite or overflowing amplitudes, and in exact mode ones whose
+    floats underflow, leave no unit vector: PureState rejects it."""
+    with np.errstate(all="ignore"):
+        norm = np.linalg.norm(v)
+        u = v / norm
+    if norm < zero_norm:
+        raise FragmentError(f"line {lineno}: zero vector")
+    try:
+        return PureState(u)
+    except ValueError:
+        raise FragmentError(
+            f"line {lineno}: amplitudes give no unit vector in floating point"
+        ) from None
 
 
 def parse_fragment(text: str, name: str = "fragment") -> Fragment:
@@ -183,7 +197,7 @@ def parse_fragment(text: str, name: str = "fragment") -> Fragment:
     def read_vector(lineno, tokens):
         if exact:
             pairs = _exact_vector(tokens, lineno, dim)
-            return _exact_to_state(pairs), pairs
+            return _exact_to_state(pairs, lineno), pairs
         return _float_vector(tokens, lineno, dim), None
 
     while pos < len(entries):
@@ -237,16 +251,11 @@ def parse_fragment(text: str, name: str = "fragment") -> Fragment:
 
 
 def _check_basis(block, block_pairs, exact: bool, lineno: int):
+    _, orth, _ = _relations(block, block_pairs, exact, BASIS_TOL)
     d = len(block)
-    if exact:
-        orth = _orthogonal(*_integer_rays(block_pairs), -1, hermitian=True)
     for i in range(d):
         for j in range(i + 1, d):
-            if exact:
-                ok = orth[i, j]
-            else:
-                ok = abs(block[i].inner(block[j])) <= BASIS_TOL
-            if not ok:
+            if not orth[i, j]:
                 raise FragmentError(
                     f"line {lineno}: basis vectors {i} and {j} are not orthogonal"
                 )
@@ -286,21 +295,49 @@ def save_fragment(path, frag: Fragment):
 
 
 # ---------------------------------------------------------------------------
-# Exact Born probabilities of (re, im) Fraction pairs; ray geometry runs on
-# the Gaussian-integer forms of ``ksval``'s integer ray algebra instead.
+# Pairwise relations of a fragment's vectors
 
 
-def _exact_norm2(u) -> Fraction:
-    return sum((a * a + b * b for a, b in u), Fraction(0))
+def _relations(vectors, pairs, exact: bool, tol: float):
+    """(same, orth, born): n x n matrices saying whether vectors k and l
+    lie on one ray or are orthogonal, and giving |<k|l>|^2.
+
+    Exact mode reads the (re, im) Fraction rows ``pairs`` and takes one
+    Gram product G of their Gaussian-integer forms: orthogonal when
+    G_kl = 0, one ray when |G_kl|^2 = G_kk G_ll (Cauchy-Schwarz equality),
+    born = |G_kl|^2 / (G_kk G_ll).  Float mode reads the PureStates
+    ``vectors``, cuts at ``tol``, and takes np.vdot per ordered pair, the
+    kernel of ``PureState.inner`` and ``born_probability``.  Their moduli
+    differ in the last bit on about a third of random complex pairs, so
+    the scalar one (hypot) decides and the array one squares to born.
+    """
+    if exact:
+        X, Y = _integer_rays(pairs)
+        re_, im_ = X.dot(X.T), 0
+        if Y.any():  # complex rows; real ones skip three products
+            re_ = re_ + Y.dot(Y.T)
+            im_ = X.dot(Y.T) - Y.dot(X.T)
+        num = re_ * re_ + im_ * im_
+        norms = np.diag(re_)
+        den = norms[:, None] * norms
+        return num == den, (re_ == 0) & (im_ == 0), _Ratios(num, den)
+    amps = [v.amplitudes for v in vectors]
+    z = np.array([[np.vdot(u, v) for v in amps] for u in amps])
+    mod = np.hypot(z.real, z.imag)
+    return np.abs(mod - 1.0) <= tol, mod <= tol, np.abs(z) ** 2
 
 
-def _exact_born(phi, psi) -> Fraction:
-    """|conj(phi) . psi|^2 / (|phi|^2 |psi|^2) in Fractions."""
-    re_ = im_ = Fraction(0)
-    for (a, b), (c, d) in zip(phi, psi):
-        re_ += a * c + b * d
-        im_ += a * d - b * c
-    return (re_ * re_ + im_ * im_) / (_exact_norm2(phi) * _exact_norm2(psi))
+@dataclass(frozen=True)
+class _Ratios:
+    """num / den as Fractions, built one slice at a time: a fragment needs
+    Born values against its states only (4 of 52 columns on the largest
+    fragment of perfbench's ``exact`` workload), at ~1 us per Fraction."""
+
+    num: np.ndarray
+    den: np.ndarray
+
+    def __getitem__(self, key) -> np.ndarray:
+        return np.frompyfunc(Fraction, 2, 1)(self.num[key], self.den[key])
 
 
 # ---------------------------------------------------------------------------
@@ -314,33 +351,27 @@ class FragmentRays:
     ``basis_rays[b][k]`` is the ray index of basis b's k-th vector;
     ``state_rays[i]`` is the prepared state's ray index, or None when the
     state is never measured (then no support constraint binds it).
+    ``born[k, i]`` is |<k|psi_i>|^2 for k running over the basis vectors
+    in declared order and then the states (Fractions in exact mode).
     """
 
     vectors: tuple
     basis_rays: tuple
     state_rays: tuple
     graph: OrthogonalityGraph
+    born: np.ndarray
 
 
 def fragment_rays(frag: Fragment) -> FragmentRays:
-    # Basis vectors in declared order, then the states.  An exact vector is
-    # matched by its canonical Gaussian-integer form, a float one by the
-    # first measured ray it lies on within ORTH_TOL.
+    # Basis vectors in declared order, then the states; each is matched to
+    # the first measured ray it lies on.
     flat = [vec for basis in frag.bases for vec in basis] + list(frag.states)
-    if frag.exact:
-        rows = [p for basis in frag.exact_bases for p in basis] + list(frag.exact_states)
-        X, Y = _integer_rays(rows)
-        keys = _ray_keys(X, Y, -1)
+    rows = [p for basis in frag.exact_bases for p in basis] + list(frag.exact_states)
+    same, orth, born = _relations(flat, rows, frag.exact, ORTH_TOL)
     firsts = []  # flat index of each distinct measured ray
-    ray_of = {}  # canonical form -> ray index (exact mode)
 
     def match(k) -> Optional[int]:
-        if frag.exact:
-            return ray_of.get(keys[k])
-        for r, f in enumerate(firsts):
-            if flat[f].same_ray(flat[k], atol=ORTH_TOL):
-                return r
-        return None
+        return next((r for r, f in enumerate(firsts) if same[f, k]), None)
 
     ids = []
     n_measured = len(frag.bases) * frag.dim
@@ -349,25 +380,14 @@ def fragment_rays(frag: Fragment) -> FragmentRays:
         if r is None:
             r = len(firsts)
             firsts.append(k)
-            if frag.exact:
-                ray_of[keys[k]] = r
         ids.append(r)
     basis_rays = [tuple(ids[k : k + frag.dim]) for k in range(0, n_measured, frag.dim)]
     state_rays = [match(k) for k in range(n_measured, len(flat))]
-
-    vectors = [flat[f] for f in firsts]
-    n = len(vectors)
-    if frag.exact:
-        edges = _orthogonal_pairs(X[firsts], Y[firsts], -1, hermitian=True)
-    else:
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if abs(vectors[i].inner(vectors[j])) <= ORTH_TOL
-        ]
-    graph = graph_from_edges(n, frag.dim, edges)
-    return FragmentRays(tuple(vectors), tuple(basis_rays), tuple(state_rays), graph)
+    edges = np.argwhere(np.triu(orth[np.ix_(firsts, firsts)], 1)).tolist()
+    graph = graph_from_edges(len(firsts), frag.dim, edges)
+    vectors = tuple(flat[f] for f in firsts)
+    born = born[:, n_measured:]  # against the states
+    return FragmentRays(vectors, tuple(basis_rays), tuple(state_rays), graph, born)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +476,6 @@ def _atom_table(fragment: Fragment) -> _AtomTable:
     return _AtomTable(rays, atoms, val, admissible)
 
 
-def _born(fragment: Fragment):
-    """(states, bases, Born function): rational pairs if exact, else PureStates."""
-    if fragment.exact:
-        return fragment.exact_states, fragment.exact_bases, _exact_born
-    return fragment.states, fragment.bases, born_probability
-
-
 # ---------------------------------------------------------------------------
 # Feasibility of exact Born reproduction by the deterministic class
 
@@ -513,11 +526,10 @@ def _feasibility(fragment: Fragment, table: _AtomTable) -> FeasibilityResult:
             status="Infeasible", n_atoms=0, empty_atoms=True, exact=exact
         )
 
-    states, bases, born = _born(fragment)
     # one row per (state, basis, outcome), in that order
     outcome_rays = [r for ids in table.rays.basis_rays for r in ids]
-    cells = [(i, r) for i in range(len(states)) for r in outcome_rays]
-    borns = [born(v, psi) for psi in states for basis in bases for v in basis]
+    cells = [(i, r) for i in range(len(fragment.states)) for r in outcome_rays]
+    borns = table.rays.born[: len(outcome_rays)].T.ravel().tolist()
     rows = table.rows(0, cells)
     lp = LinearProgram(rows.shape[1])
     for row, p in zip(rows, borns):
@@ -609,9 +621,8 @@ def _overlap(fragment: Fragment, table: _AtomTable) -> OverlapResult:
             status="Undefined", f_star=None, caveat=CAVEAT, n_atoms=0, exact=exact
         )
 
-    states, _, born = _born(fragment)
-    n_states = len(states)
-    bmat = [[born(phi, psi) for psi in states] for phi in states]
+    n_states = len(fragment.states)
+    bmat = table.rays.born[-n_states:].tolist()
     state_rays = table.rays.state_rays
     pairs = [
         (i, j)
@@ -783,7 +794,7 @@ def fragment_model(
         prepare_pure=prepare_pure,
         respond=respond,
         declared=declared,
-        supported_dims=frozenset({fragment.dim}),
+        dim=fragment.dim,
         default_engine_spec="closed",
     )
 

@@ -195,7 +195,7 @@ class OntologicalModel:
     prepare_pure: object = field(repr=False)
     respond: ResponseFunction = field(repr=False)
     declared: DeclaredProperties = field(repr=False)
-    supported_dims: frozenset = frozenset()
+    dim: int
     # "absent": ontic state carries no prepared-state register (response
     # cannot read psi); "whole": the ontic state is the prepared state;
     # "component": a register holds it and replace_state_register swaps it.
@@ -206,12 +206,8 @@ class OntologicalModel:
     default_engine_spec: str = "closed"
     implemented: bool = True
 
-    @property
-    def dim(self) -> int:
-        return min(self.supported_dims)
-
     def check_dim(self, d: int):
-        if d not in self.supported_dims:
+        if d != self.dim:
             raise UnsupportedDimensionError(
                 f"model {self.name} does not support dimension {d}"
             )

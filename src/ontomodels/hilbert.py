@@ -32,7 +32,7 @@ class PureState:
         if amps.ndim != 1 or amps.shape[0] < 2:
             raise ValueError("state needs at least 2 amplitudes")
         norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > 1e-10:
+        if not abs(norm2 - 1.0) <= 1e-10:  # also rejects NaN
             raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
 
     @property

@@ -218,9 +218,10 @@ class VectorSet:
 # by the LCM of their denominators to integer rows X, Y.  The bilinear form
 # of two rays is then  X_u.X_v + s*Y_u.Y_v  +  (X_u.Y_v + Y_u.X_v)*w,  which
 # vanishes exactly when both integer parts do, since w is irrational.  Real
-# rays over Q(sqrt r) take s = r; complex rays over Q(i) take s = -1 and
-# conjugate the left factor for the Hermitian product.  Python-int object
-# arrays keep every product exact, whatever the size of the coordinates.
+# rays over Q(sqrt r) take s = r; complex fragment vectors over Q(i) take
+# w = i and the Hermitian product (``epibound._relations``).  Python-int
+# object arrays keep every product exact, whatever the size of the
+# coordinates.
 
 
 def _integer_rays(rows):
@@ -233,17 +234,16 @@ def _integer_rays(rows):
     return np.array(X, dtype=object), np.array(Y, dtype=object)
 
 
-def _orthogonal(X, Y, s: int, hermitian: bool = False) -> np.ndarray:
+def _orthogonal(X, Y, s: int) -> np.ndarray:
     """n x n bool matrix of exactly orthogonal ray pairs (two Gram products)."""
     if not Y.any():
         return X.dot(X.T) == 0
-    Yl = -Y if hermitian else Y
-    return (X.dot(X.T) + s * Yl.dot(Y.T) == 0) & (X.dot(Y.T) + Yl.dot(X.T) == 0)
+    return (X.dot(X.T) + s * Y.dot(Y.T) == 0) & (X.dot(Y.T) + Y.dot(X.T) == 0)
 
 
-def _orthogonal_pairs(X, Y, s: int, hermitian: bool = False) -> list:
+def _orthogonal_pairs(X, Y, s: int) -> list:
     """Orthogonal pairs [i, j], i < j, in row order."""
-    return np.argwhere(np.triu(_orthogonal(X, Y, s, hermitian), 1)).tolist()
+    return np.argwhere(np.triu(_orthogonal(X, Y, s), 1)).tolist()
 
 
 def _ray_keys(X, Y, s: int) -> list:

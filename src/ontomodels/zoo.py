@@ -112,7 +112,7 @@ def make_bb(d: int = 2) -> OntologicalModel:
             preparation_contextual=True,
             psi_dependent_response=True,
         ),
-        supported_dims=frozenset({d}),
+        dim=d,
         state_register="whole",
         default_engine_spec="closed",
     )
@@ -186,7 +186,7 @@ def make_ks() -> OntologicalModel:
             preparation_contextual=True,
             psi_dependent_response=False,
         ),
-        supported_dims=frozenset({2}),
+        dim=2,
         state_register="absent",
         default_engine_spec="quad:17",
     )
@@ -250,11 +250,7 @@ def make_bell2() -> OntologicalModel:
         chi, x = batch
         b1, b2 = _ordered_pair(sm)
         p1 = fidelity_rows(chi, b1)
-        if fidelity_rows(phi.amplitudes[None, :], b1)[0] > 1.0 - XI_TOL:
-            return x < p1
-        if fidelity_rows(phi.amplitudes[None, :], b2)[0] > 1.0 - XI_TOL:
-            return x >= p1
-        raise ValueError("outcome state is not an element of the measurement basis")
+        return x < p1 if _find_outcome(phi, (b1, b2)) == 0 else x >= p1
 
     respond = ResponseFunction(
         evaluate=lambda phi, batch, sm: decide(phi, batch, sm).astype(float),
@@ -265,11 +261,7 @@ def make_bell2() -> OntologicalModel:
     def closed_response_mean(psi, phi, sm):
         b1, b2 = _ordered_pair(sm)
         p1 = float(fidelity_rows(psi.amplitudes[None, :], b1)[0])
-        if fidelity_rows(phi.amplitudes[None, :], b1)[0] > 1.0 - XI_TOL:
-            return p1
-        if fidelity_rows(phi.amplitudes[None, :], b2)[0] > 1.0 - XI_TOL:
-            return 1.0 - p1
-        raise ValueError("outcome state is not an element of the measurement basis")
+        return p1 if _find_outcome(phi, (b1, b2)) == 0 else 1.0 - p1
 
     return OntologicalModel(
         name="bell2",
@@ -285,7 +277,7 @@ def make_bell2() -> OntologicalModel:
             preparation_contextual=True,
             psi_dependent_response=True,
         ),
-        supported_dims=frozenset({2}),
+        dim=2,
         state_register="component",
         replace_state_register=_replace_state_register,
         closed_response_mean=closed_response_mean,
@@ -356,7 +348,7 @@ def make_ws(d: int = 3) -> OntologicalModel:
             preparation_contextual=True,
             psi_dependent_response=True,
         ),
-        supported_dims=frozenset({d}),
+        dim=d,
         state_register="component",
         replace_state_register=_replace_state_register,
         prep_tv_closed=_decomposition_tv,
@@ -368,7 +360,7 @@ def make_ws(d: int = 3) -> OntologicalModel:
 # Declared-only stubs and the registry
 
 
-def _stub(name, display, table_type, declared, dims) -> OntologicalModel:
+def _stub(name, display, table_type, declared, dim) -> OntologicalModel:
     def unavailable(*args, **kwargs):
         raise NotImplementedError(f"model {name} ships as a declared-only stub")
 
@@ -376,13 +368,13 @@ def _stub(name, display, table_type, declared, dims) -> OntologicalModel:
         name=name,
         display_name=display,
         table_type=table_type,
-        ontic_space=OnticSpace(kind="ray", dim=min(dims), reference_sampler=unavailable),
+        ontic_space=OnticSpace(kind="ray", dim=dim, reference_sampler=unavailable),
         prepare_pure=unavailable,
         respond=ResponseFunction(
             evaluate=unavailable, core=unavailable, support=unavailable
         ),
         declared=declared,
-        supported_dims=frozenset(dims),
+        dim=dim,
         implemented=False,
     )
 
@@ -390,21 +382,21 @@ def _stub(name, display, table_type, declared, dims) -> OntologicalModel:
 def make_aaronson() -> OntologicalModel:
     return _stub(
         "aaronson", "Aaronson", "ontic-supplem.",
-        DeclaredProperties(True, False, True, True, True), {2},
+        DeclaredProperties(True, False, True, True, True), 2,
     )
 
 
 def make_bell1() -> OntologicalModel:
     return _stub(
         "bell1", "Bell 1st", "ontic-supplem.",
-        DeclaredProperties(False, True, True, True, True), {2},
+        DeclaredProperties(False, True, True, True, True), 2,
     )
 
 
 def make_aerts() -> OntologicalModel:
     return _stub(
         "aerts", "Aerts", "ontic-complete (d=2)",
-        DeclaredProperties(True, False, False, True, True), {2},
+        DeclaredProperties(True, False, False, True, True), 2,
     )
 
 

@@ -422,6 +422,25 @@ class TestBound:
         assert rc == 2
         assert "ontomodels: error:" in err
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            ("state: 1,0 0,0", "state: nan,0 1,0"),
+            ("state: 1,0 0,0", "state: 1,0 -inf,0"),
+            ("state: 1,0 0,0", "state: 1e400,0 1,0"),
+            ("state: 1,0 0,0", "state: 1e200,0 1,0"),  # the norm overflows
+            ("exact", "state: 1e400,0 1,0"),
+            ("exact", "state: 1e-400,0 0,0"),  # underflows to a float zero
+            ("exact", "state: 1e-160,0 1e-160,0"),  # subnormal squares
+        ],
+    )
+    def test_amplitude_without_finite_float_form_is_usage_error(self, tmp_path, head):
+        bad = tmp_path / "bad.frag"
+        bad.write_text("\n".join(("dim=2", *head, "basis:", "1,0 0,0", "0,0 1,0")) + "\n")
+        rc, out, err = run_cli("bound", str(bad))
+        assert (rc, out) == (2, "")
+        assert "line 3" in err
+
 
 class TestPrepctx:
     def test_ks_mixture_is_context_sensitive(self):

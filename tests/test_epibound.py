@@ -12,6 +12,7 @@ from ontomodels.data import fragment_path, list_fragments
 from ontomodels.engines import ClosedForm, MonteCarlo
 from ontomodels.epibound import (
     CAVEAT,
+    ORTH_TOL,
     Fragment,
     FragmentError,
     analyze,
@@ -82,6 +83,11 @@ def _exact_parallel(u, v) -> bool:
     return True
 
 
+def exact_born(u, v) -> Fraction:
+    re_, im_ = _exact_inner(u, v)
+    return (re_ * re_ + im_ * im_) / (_exact_inner(u, u)[0] * _exact_inner(v, v)[0])
+
+
 def oracle_rays(frag):
     """(basis_rays, state_rays, edges) of an exact fragment by first match."""
     rays, basis_rays = [], []
@@ -106,6 +112,61 @@ def oracle_rays(frag):
         if _exact_inner(rays[i], rays[j]) == (0, 0)
     )
     return tuple(basis_rays), state_rays, edges
+
+
+def float_oracle(frag):
+    """(basis_rays, state_rays, edges, born) of a float fragment by the
+    per-pair same_ray / inner / born_probability loops that ``_relations``
+    replaced, kept as its oracle."""
+    flat = [v for b in frag.bases for v in b] + list(frag.states)
+    n_measured = len(frag.bases) * frag.dim
+    firsts = []
+
+    def match(k):
+        return next(
+            (r for r, f in enumerate(firsts) if flat[f].same_ray(flat[k], atol=ORTH_TOL)),
+            None,
+        )
+
+    ids = []
+    for k in range(n_measured):
+        if match(k) is None:
+            firsts.append(k)
+        ids.append(match(k))
+    basis_rays = tuple(tuple(ids[k : k + frag.dim]) for k in range(0, n_measured, frag.dim))
+    state_rays = tuple(match(k) for k in range(n_measured, len(flat)))
+    rays = [flat[f] for f in firsts]
+    edges = tuple(
+        (i, j)
+        for i in range(len(rays))
+        for j in range(i + 1, len(rays))
+        if abs(rays[i].inner(rays[j])) <= ORTH_TOL
+    )
+    born = [[born_probability(u, psi) for psi in frag.states] for u in flat]
+    return basis_rays, state_rays, edges, born
+
+
+def random_float_fragment(rng):
+    """Complex fragment in d = 2..5 whose bases and states share rays: some
+    bases are rebuilt from a phased copy of an earlier vector, and most
+    states are phased copies of measured vectors."""
+    dim = int(rng.integers(2, 6))
+
+    def phased(v):
+        return PureState(np.exp(2j * np.pi * rng.random()) * v.amplitudes)
+
+    pool, bases = [], []
+    for _ in range(int(rng.integers(1, 5))):
+        if pool and rng.random() < 0.6:
+            first = phased(pool[rng.integers(len(pool))])
+        else:
+            first = random_state(dim, rng)
+        basis = complete_basis(first)
+        bases.append(basis)
+        pool.extend(basis)
+    states = [phased(pool[rng.integers(len(pool))]) for _ in range(int(rng.integers(1, 4)))]
+    states += [random_state(dim, rng) for _ in range(int(rng.integers(0, 2)))]
+    return Fragment(dim=dim, states=tuple(states), bases=tuple(bases))
 
 
 def exact_fragment(dim, bases, states):
@@ -295,6 +356,22 @@ class TestRays:
         assert rays.state_rays[-1] is None  # the axis state is never measured
 
 
+class TestFloatRayGeometry:
+    def test_fragment_rays_match_pair_loop_oracle(self):
+        rng = np.random.default_rng(8)
+        shared = 0
+        for _ in range(300):
+            frag = random_float_fragment(rng)
+            rays = fragment_rays(frag)
+            basis_rays, state_rays, edges, born = float_oracle(frag)
+            assert rays.basis_rays == basis_rays
+            assert rays.state_rays == state_rays
+            assert rays.graph.edges == edges
+            assert rays.born.tolist() == born  # bit for bit
+            shared += len(rays.vectors) < len(frag.bases) * frag.dim
+        assert shared > 100
+
+
 class TestExactRayGeometry:
     """The Gaussian-integer path against the Fraction pair loops."""
 
@@ -309,6 +386,8 @@ class TestExactRayGeometry:
         assert rays.state_rays == state_rays
         assert rays.graph.edges == edges
         assert rays.graph.bases == graph_from_edges(len(rays.vectors), dim, edges).bases
+        flat = [v for b in bases for v in b] + list(states)
+        assert rays.born.tolist() == [[exact_born(u, psi) for psi in states] for u in flat]
 
     @settings(max_examples=100, deadline=None)
     @given(case=exact_cases())

@@ -42,6 +42,10 @@ class TestPureState:
         with pytest.raises(ValueError):
             state(0, 0)
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError):
+            PureState(np.array([np.nan, 1.0]))
+
     def test_rejects_dim_one(self):
         with pytest.raises(ValueError):
             PureState(np.array([1.0]))
