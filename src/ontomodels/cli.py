@@ -10,19 +10,23 @@ Exit codes are uniform: 0 for a pass or positive finding, 1 for a
 substantive negative (verification failure, declared/measured mismatch,
 UNSAT, infeasible), 2 for usage or input errors.
 
-Flags can also come from a ``--config`` file of ``key = value`` lines
-using the long flag names (``model``, ``engine``, ``seed``, ``pairs``,
-``trials``, ``input``, ``all``, ``limit``, ``rho``, ``ctx``, ``format``,
-``output``); explicit flags win.  The default seed comes from the
-ONTOMODELS_SEED environment variable when set, and every report records
-the seed it actually used.
+Each option is declared once, in ``_OPTIONS``.  Its long flag name is
+also its key in a ``--config`` file of ``key = value`` lines (``model``,
+``engine``, ``seed``, ``pairs``, ``trials``, ``input``, ``all``,
+``limit``, ``rho``, ``ctx``, ``format``, ``output``).  A value comes from
+the flag, else the config file, else (seed only) the ONTOMODELS_SEED
+environment variable, else the ``RunConfig`` default, and every report
+records the seed it actually used.  The counts ``pairs``, ``trials`` and
+``limit`` must be at least 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,12 +67,7 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved invocation: the command plus every knob it reads.
-
-    The seed is resolved from flag, then config file, then the
-    ONTOMODELS_SEED environment variable, then the built-in default, and
-    is always recorded in the emitted report.
-    """
+    """One resolved invocation: the command plus every knob it reads."""
 
     command: str
     model: str | None = None
@@ -76,178 +75,13 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     pairs: int = 100
     trials: int = 4096
-    inputs: tuple = ()
+    input: str | None = None
     enumerate_all: bool = False
     limit: int | None = None
     rho: str = "unpolarized"
     contexts: tuple = ("z", "x")
     fmt: str = "json"
     output: str | None = None
-
-
-# ---------------------------------------------------------------------------
-# Argument and config-file handling
-
-_CONFIG_KEYS = {
-    "model", "engine", "seed", "pairs", "trials", "input", "all",
-    "limit", "rho", "ctx", "format", "output",
-}
-
-_FORMATS = {
-    "verify": ("json", "text", "csv"),
-    "classify": ("json", "text"),
-    "table": ("json", "csv", "text"),
-    "ksval": ("json", "text"),
-    "bound": ("json", "text", "csv"),
-    "prepctx": ("json", "text"),
-}
-
-_NEEDS_MODEL = {"verify", "classify", "prepctx"}
-_NEEDS_INPUT = {"ksval", "bound"}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ontomodels",
-        description="Verify, classify, and bound ontological models "
-        "of single quantum systems.",
-    )
-    parser.add_argument(
-        "--version", action="version",
-        version=f"{reports.TOOL_NAME} {reports.TOOL_VERSION}",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def common(sp, command):
-        sp.add_argument("--config", help="key = value file with flag defaults")
-        sp.add_argument("--seed", type=int, help="RNG seed recorded in the report")
-        sp.add_argument(
-            "--format", dest="fmt", choices=_FORMATS[command],
-            help="report format (default json)",
-        )
-        sp.add_argument("--output", help="write the report here instead of stdout")
-
-    sp = sub.add_parser("verify", help="check Born reproduction on random pairs")
-    sp.add_argument("--model", help="registry name, e.g. ks, bb:3, ws:4")
-    sp.add_argument("--engine", help="closed, quad:<level>, or mc:<samples>")
-    sp.add_argument("--pairs", type=int, help="number of random pairs (default 100)")
-    common(sp, "verify")
-
-    sp = sub.add_parser("classify", help="falsification-test declared properties")
-    sp.add_argument("--model", help="registry name")
-    sp.add_argument("--trials", type=int, help="samples per probe (default 4096)")
-    common(sp, "classify")
-
-    sp = sub.add_parser("table", help="render the seven-model summary table")
-    sp.add_argument("--trials", type=int, help="samples per probe (default 4096)")
-    common(sp, "table")
-
-    sp = sub.add_parser("ksval", help="search for a 0/1 valuation of a ray set")
-    sp.add_argument("input", nargs="?", help="vector-set file (.vec)")
-    sp.add_argument("--all", dest="enumerate_all", action="store_const",
-                    const=True, help="enumerate every valuation")
-    sp.add_argument("--limit", type=int, help="stop enumeration after this many")
-    common(sp, "ksval")
-
-    sp = sub.add_parser("bound", help="fragment feasibility and overlap fraction")
-    sp.add_argument("input", nargs="?", help="fragment file (.frag)")
-    common(sp, "bound")
-
-    sp = sub.add_parser("prepctx", help="preparation-context distance of a mixture")
-    sp.add_argument("--model", help="registry name")
-    sp.add_argument("--rho", help="mixed state to prepare (unpolarized)")
-    sp.add_argument("--ctx", help="two context names, e.g. z,x")
-    sp.add_argument("--engine", help="closed, quad:<level>, or mc:<samples>")
-    common(sp, "prepctx")
-    return parser
-
-
-def _read_config(path) -> dict:
-    table = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        table[key] = value.strip()
-    return table
-
-
-def _to_bool(value: str) -> bool:
-    low = value.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"expected a boolean, got {value!r}")
-
-
-def _config_from_args(args) -> RunConfig:
-    command = args.command
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag, key, cast, default):
-        value = getattr(args, flag, None)
-        if value is None and key in config:
-            try:
-                value = cast(config[key])
-            except ValueError:
-                raise UsageError(f"config {key}={config[key]!r} is invalid") from None
-        return default if value is None else value
-
-    seed = pick("seed", "seed", int, None)
-    if seed is None:
-        env = os.environ.get(ENV_SEED)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise UsageError(f"{ENV_SEED}={env!r} is not an integer") from None
-        else:
-            seed = DEFAULT_SEED
-
-    fmt = pick("fmt", "format", str, "json")
-    if fmt not in _FORMATS[command]:
-        raise UsageError(f"{command} cannot emit format {fmt!r}")
-
-    inputs = ()
-    if command in _NEEDS_INPUT:
-        path = pick("input", "input", str, None)
-        if path is None:
-            raise UsageError(f"{command} needs an input file")
-        inputs = (path,)
-
-    model = pick("model", "model", str, None)
-    if command in _NEEDS_MODEL and model is None:
-        raise UsageError(f"{command} needs --model")
-
-    ctx = pick("ctx", "ctx", str, "z,x")
-    contexts = tuple(part.strip() for part in ctx.split(",") if part.strip())
-
-    return RunConfig(
-        command=command,
-        model=model,
-        engine=pick("engine", "engine", str, None),
-        seed=int(seed),
-        pairs=pick("pairs", "pairs", int, 100),
-        trials=pick("trials", "trials", int, 4096),
-        inputs=inputs,
-        enumerate_all=pick("enumerate_all", "all", _to_bool, False),
-        limit=pick("limit", "limit", int, None),
-        rho=pick("rho", "rho", str, "unpolarized"),
-        contexts=contexts,
-        fmt=fmt,
-        output=pick("output", "output", str, None),
-    )
 
 
 def _emit(cfg: RunConfig, envelope: dict, text: str = "", csv_data=None):
@@ -370,9 +204,7 @@ def cmd_table(cfg: RunConfig, models=None) -> int:
 
 
 def cmd_ksval(cfg: RunConfig) -> int:
-    if cfg.limit is not None and cfg.limit < 1:
-        raise UsageError(f"--limit must be at least 1, got {cfg.limit}")
-    path = cfg.inputs[0]
+    path = cfg.input
     vset = load_vector_set(path)
     graph = build_graph(vset)
     if cfg.enumerate_all:
@@ -424,7 +256,7 @@ def cmd_ksval(cfg: RunConfig) -> int:
 
 
 def cmd_bound(cfg: RunConfig) -> int:
-    path = cfg.inputs[0]
+    path = cfg.input
     fragment = load_fragment(path)
     body = analyze(fragment)
     envelope = reports.build_report("bound", body, cfg.seed, inputs=[path])
@@ -493,14 +325,179 @@ def cmd_prepctx(cfg: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "verify": cmd_verify,
-    "classify": cmd_classify,
-    "table": cmd_table,
-    "ksval": cmd_ksval,
-    "bound": cmd_bound,
-    "prepctx": cmd_prepctx,
+# ---------------------------------------------------------------------------
+# Commands and options, each declared once: the parser, the config-file
+# keys and the checks all read these two tables; defaults are RunConfig's.
+
+
+@dataclass(frozen=True)
+class _Command:
+    run: Callable[[RunConfig], int]
+    help: str
+    formats: tuple  # report formats it can emit
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One option; its name is both the long flag and the config-file key."""
+
+    field: str  # the RunConfig field it sets
+    commands: tuple  # the commands that take it
+    help: str
+    cast: Callable = str  # applied to the flag, config or environment string
+    count: bool = False  # the value must be at least 1
+    required: str = ""  # if set, a command that takes it fails "needs <required>"
+    positional: bool = False
+
+
+def _to_bool(value: str) -> bool:
+    low = value.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _names(value: str) -> tuple:
+    return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+_COMMANDS = {
+    "verify": _Command(
+        cmd_verify, "check Born reproduction on random pairs", ("json", "text", "csv")
+    ),
+    "classify": _Command(
+        cmd_classify, "falsification-test declared properties", ("json", "text")
+    ),
+    "table": _Command(
+        cmd_table, "render the seven-model summary table", ("json", "csv", "text")
+    ),
+    "ksval": _Command(
+        cmd_ksval, "search for a 0/1 valuation of a ray set", ("json", "text")
+    ),
+    "bound": _Command(
+        cmd_bound, "fragment feasibility and overlap fraction", ("json", "text", "csv")
+    ),
+    "prepctx": _Command(
+        cmd_prepctx, "preparation-context distance of a mixture", ("json", "text")
+    ),
 }
+
+_EVERY = tuple(_COMMANDS)
+
+_OPTIONS = {
+    "input": _Option(
+        "input", ("ksval", "bound"), "ray set (.vec) or fragment (.frag) file",
+        required="an input file", positional=True,
+    ),
+    "model": _Option(
+        "model", ("verify", "classify", "prepctx"),
+        "registry name, e.g. ks, bb:3, ws:4", required="--model",
+    ),
+    "engine": _Option(
+        "engine", ("verify", "prepctx"), "closed, quad:<level>, or mc:<samples>"
+    ),
+    "pairs": _Option(
+        "pairs", ("verify",), "number of random pairs (default 100)", int, count=True
+    ),
+    "trials": _Option(
+        "trials", ("classify", "table"), "samples per probe (default 4096)",
+        int, count=True,
+    ),
+    "all": _Option("enumerate_all", ("ksval",), "enumerate every valuation", _to_bool),
+    "limit": _Option(
+        "limit", ("ksval",), "stop enumeration after this many", int, count=True
+    ),
+    "rho": _Option("rho", ("prepctx",), "mixed state to prepare (unpolarized)"),
+    "ctx": _Option("contexts", ("prepctx",), "two context names, e.g. z,x", _names),
+    "seed": _Option("seed", _EVERY, "RNG seed recorded in the report", int),
+    "format": _Option("fmt", _EVERY, "report format: {formats} (default json)"),
+    "output": _Option("output", _EVERY, "write the report here instead of stdout"),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ontomodels",
+        description="Verify, classify, and bound ontological models "
+        "of single quantum systems.",
+    )
+    parser.add_argument(
+        "--version", action="version",
+        version=f"{reports.TOOL_NAME} {reports.TOOL_VERSION}",
+    )
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for command, spec in _COMMANDS.items():
+        sp = sub.add_parser(command, help=spec.help)
+        sp.add_argument("--config", help="key = value file with option defaults")
+        for name, opt in _OPTIONS.items():
+            if command not in opt.commands:
+                continue
+            text = opt.help.format(formats=", ".join(spec.formats))
+            if opt.positional:
+                sp.add_argument(name, nargs="?", help=text)
+            elif opt.cast is _to_bool:
+                # a switch stores a string too, so it is cast like the config key
+                sp.add_argument(
+                    f"--{name}", action="store_const", const="yes", help=text
+                )
+            else:
+                sp.add_argument(f"--{name}", help=text)
+    return parser
+
+
+def _read_config(path) -> dict:
+    table = {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        key = key.strip().lower()
+        if key not in _OPTIONS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        table[key] = value.strip()
+    return table
+
+
+def _config_from_args(args) -> RunConfig:
+    """Resolve each option the command takes from the flag, else the config
+    file, else (seed only) the environment, else the RunConfig default."""
+    command, flags = args.command, vars(args)
+    config = _read_config(args.config) if args.config else {}
+    values = {}
+    for name, opt in _OPTIONS.items():
+        if command not in opt.commands:
+            continue
+        sources = [(f"--{name}", flags[name]), (f"config {name}", config.get(name))]
+        if name == "seed":
+            sources.append((ENV_SEED, os.environ.get(ENV_SEED)))
+        given = [(where, raw) for where, raw in sources if raw is not None]
+        if not given:
+            if opt.required:
+                raise UsageError(f"{command} needs {opt.required}")
+            continue
+        where, raw = given[0]
+        try:
+            value = opt.cast(raw)
+        except ValueError:
+            raise UsageError(f"{where}={raw!r} is invalid") from None
+        if opt.count and value < 1:
+            raise UsageError(f"{where} must be at least 1, got {value}")
+        values[opt.field] = value
+    cfg = RunConfig(command, **values)
+    if cfg.fmt not in _COMMANDS[command].formats:
+        raise UsageError(f"{command} cannot emit format {cfg.fmt!r}")
+    return cfg
+
 
 _USAGE_ERRORS = (
     UsageError,
@@ -517,14 +514,13 @@ _USAGE_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command is None:
-        parser.print_usage(sys.stderr)
+        _parser().print_usage(sys.stderr)
         return 2
     try:
         cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _COMMANDS[cfg.command].run(cfg)
     except _USAGE_ERRORS as exc:
         print(f"ontomodels: error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,8 @@ QUAD_MIN_LEVEL = 15
 def _block_sizes(n: int, block: int) -> list:
     """Sizes of the consecutive blocks that split n items: full blocks,
     then the remainder if any."""
+    if n < 0:
+        raise ValueError(f"cannot split a negative count {n} into blocks")
     full, rem = divmod(int(n), block)
     return [block] * full + ([rem] if rem else [])
 

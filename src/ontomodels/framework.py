@@ -970,13 +970,13 @@ def prep_context_distance(model, rho: DensityOperator, ctx_a, ctx_b, engine) -> 
 PREP_TV_CONTEXTUAL = 0.01
 
 
-def _probe_prep_context(model, seed, engine=None):
+def _probe_prep_context(model, seed):
     """Measure the canonical mixed-preparation distance; TV above the
     contextuality threshold falsifies preparation noncontextuality."""
     dim = model.dim
     ctx_a, ctx_b = canonical_mix_contexts(dim)
     rho = mix(ctx_a.payload)
-    engine = engine or default_engine(model, for_densities=True)
+    engine = default_engine(model, for_densities=True)
     tv = prep_context_distance(model, rho, ctx_a, ctx_b, engine)
     if tv > PREP_TV_CONTEXTUAL:
         wit = _witness(
@@ -1137,7 +1137,7 @@ def default_engine(model, for_densities=False):
     return parse_engine(model.default_engine_spec)
 
 
-def classify(model, n_trials=4096, seed=None, prep_engine=None) -> ClassificationReport:
+def classify(model, n_trials=4096, seed=None) -> ClassificationReport:
     """Falsification-test every declared property of the model."""
     seed = DEFAULT_SEED if seed is None else int(seed)
     d = model.declared
@@ -1145,7 +1145,7 @@ def classify(model, n_trials=4096, seed=None, prep_engine=None) -> Classificatio
     recip_wit, n1 = _run_probe("reciprocity", model, n_trials, seed)
     det_wit, n2 = _run_probe("determinism", model, n_trials, seed)
     ctx_wit, n3 = _run_probe("measurement_context", model, n_trials, seed)
-    prep_wit, tv = _probe_prep_context(model, seed, engine=prep_engine)
+    prep_wit, tv = _probe_prep_context(model, seed)
     func_status = functional_dependence_test(model, min(n_trials, 512), seed)
 
     predicates = {

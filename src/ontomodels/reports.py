@@ -29,7 +29,7 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def canonical_json(obj, indent: int = 2) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, stable float formatting."""
 
     def go(o, pad):
@@ -37,7 +37,7 @@ def canonical_json(obj, indent: int = 2) -> str:
             if not o:
                 return "{}"
             inner = ",\n".join(
-                f"{' ' * (pad + indent)}{json.dumps(str(k))}: {go(o[k], pad + indent)}"
+                f"{' ' * (pad + 2)}{json.dumps(str(k))}: {go(o[k], pad + 2)}"
                 for k in sorted(o, key=str)
             )
             return "{\n" + inner + "\n" + " " * pad + "}"
@@ -45,7 +45,7 @@ def canonical_json(obj, indent: int = 2) -> str:
             if not o:
                 return "[]"
             inner = ",\n".join(
-                f"{' ' * (pad + indent)}{go(v, pad + indent)}" for v in o
+                f"{' ' * (pad + 2)}{go(v, pad + 2)}" for v in o
             )
             return "[\n" + inner + "\n" + " " * pad + "]"
         if isinstance(o, bool) or o is None:

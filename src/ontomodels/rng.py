@@ -29,13 +29,3 @@ def stream(seed: int, *labels) -> np.random.Generator:
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_label_key(x) for x in labels]
     ss = np.random.SeedSequence(entropy)
     return np.random.Generator(np.random.Philox(ss))
-
-
-def block_streams(seed: int, *labels, n_blocks: int):
-    """Independent sub-streams for block-partitioned work.
-
-    Block ``j`` always maps to the same stream, so partial results can be
-    merged in block order and the total is reproducible for any degree of
-    parallelism.
-    """
-    return [stream(seed, *labels, "block", j) for j in range(n_blocks)]

@@ -187,8 +187,11 @@ def simplex_solve(lp: LinearProgram, exact: bool = False) -> LPResult:
     m, n_struct = tab.m, tab.n_struct
     max_iters = 5000 + 200 * (m + n_struct)
 
-    # phase 1: drive the artificial variables to zero
-    tab.set_objective(np.repeat(_array([0, -1], exact), [n_struct, m]))
+    # phase 1: drive the artificial variables to zero.  The objective -sum(a)
+    # priced out against the all-artificial basis is the column sums of the
+    # tableau, zero on the artificial columns themselves.
+    tab.obj = tab.t.sum(axis=0)
+    tab.obj[n_struct:n_struct + m] = tol * 0
     status, p1 = tab.run(n_struct + m, max_iters)
     if status != "optimal":  # cannot happen: phase-1 objective is bounded
         raise LPError("phase 1 reported unbounded")

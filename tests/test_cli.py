@@ -6,6 +6,7 @@ pass or positive finding, 1 for a substantive negative, 2 for usage or
 input errors.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -16,7 +17,14 @@ import math
 import pytest
 
 from ontomodels import reports
-from ontomodels.cli import RunConfig, TABLE_COLUMNS, cmd_table, main
+from ontomodels.cli import (
+    RunConfig,
+    TABLE_COLUMNS,
+    _config_from_args,
+    _parser,
+    cmd_table,
+    main,
+)
 from ontomodels.data import fragment_path, vector_path
 from ontomodels.rng import DEFAULT_SEED
 from ontomodels.zoo import get_model
@@ -501,3 +509,83 @@ class TestInvocation:
     def test_unsupported_format_choice(self):
         rc, _, err = run_cli("classify", "--model", "ks", "--format", "csv")
         assert rc == 2
+
+
+# What each subcommand accepts besides -h/--help, --config, --seed,
+# --format and --output: option strings, and the positional's name.
+OWN_OPTIONS = {
+    "verify": {"--model", "--engine", "--pairs"},
+    "classify": {"--model", "--trials"},
+    "table": {"--trials"},
+    "ksval": {"input", "--all", "--limit"},
+    "bound": {"input"},
+    "prepctx": {"--model", "--rho", "--ctx", "--engine"},
+}
+SHARED = {"--seed", "--format", "--output"}
+# a value for each option that differs from its default
+SAMPLE = {
+    "model": "bb:3", "engine": "closed", "pairs": "3", "trials": "5",
+    "input": "other.vec", "all": "yes", "limit": "2", "rho": "mixed",
+    "ctx": "x, z", "seed": "7", "format": "text", "output": "report.txt",
+}
+
+
+def resolve(*argv):
+    return _config_from_args(_parser().parse_args(list(argv)))
+
+
+class TestOptionTable:
+    def test_each_command_accepts_its_options(self):
+        action = next(
+            a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert list(action.choices) == list(OWN_OPTIONS)
+        for command, own in OWN_OPTIONS.items():
+            got = {
+                s for a in action.choices[command]._actions
+                for s in a.option_strings or [a.dest]
+            }
+            assert got == own | SHARED | {"-h", "--help", "--config"}, command
+
+    @pytest.mark.parametrize("command,name", sorted(
+        (command, option.lstrip("-"))
+        for command, own in OWN_OPTIONS.items() for option in own | SHARED
+    ))
+    def test_flag_and_config_key_agree(self, tmp_path, monkeypatch, command, name):
+        monkeypatch.delenv("ONTOMODELS_SEED", raising=False)
+        base = []
+        if "--model" in OWN_OPTIONS[command] and name != "model":
+            base += ["--model", "ks"]
+        if "input" in OWN_OPTIONS[command] and name != "input":
+            base += ["rays.vec"]
+        value = SAMPLE[name]
+        if name == "input":
+            flag = [value]
+        elif name == "all":
+            flag = ["--all"]
+        else:
+            flag = [f"--{name}", value]
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{name} = {value}\n")
+        by_flag = resolve(command, *base, *flag)
+        assert resolve(command, *base, "--config", str(cfgfile)) == by_flag
+        if name not in ("model", "input"):  # required: no run without them
+            assert resolve(command, *base) != by_flag
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--model", "bb:3", "--engine", "closed", "--pairs"),
+        ("classify", "--model", "bb:3", "--trials"),
+        ("table", "--trials"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_is_usage_error(self, argv, value):
+        rc, out, err = run_cli(*argv, value)
+        assert (rc, out) == (2, "")
+        assert f"{argv[-1]} must be at least 1, got {value}" in err
+
+    def test_config_count_below_one_is_usage_error(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("pairs = 0\n")
+        rc, out, err = run_cli("verify", "--model", "bb:3", "--config", str(cfgfile))
+        assert (rc, out) == (2, "")
+        assert "config pairs must be at least 1, got 0" in err

@@ -15,12 +15,13 @@ from ontomodels.engines import (
     QUAD_MIN_LEVEL,
     MonteCarlo,
     SphereQuadrature,
+    _block_sizes,
     _frame,
     _graded,
     parse_engine,
     sample_sphere,
 )
-from ontomodels.framework import canonical_mix_contexts, prep_context_distance
+from ontomodels.framework import canonical_mix_contexts, classify, prep_context_distance
 from ontomodels.hilbert import DensityOperator
 from ontomodels.zoo import get_model
 
@@ -341,6 +342,16 @@ class TestMonteCarlo:
     def test_rejects_tiny_n(self):
         with pytest.raises(EngineError):
             MonteCarlo(1)
+
+
+def test_negative_counts_are_rejected():
+    # divmod would turn a negative count into one block of n mod block
+    assert _block_sizes(0, 256) == []
+    assert _block_sizes(300, 256) == [256, 44]
+    with pytest.raises(ValueError, match="negative"):
+        _block_sizes(-5, 256)
+    with pytest.raises(ValueError, match="negative"):
+        classify(get_model("bb:3"), n_trials=-5)
 
 
 class TestParseEngine:

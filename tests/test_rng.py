@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ontomodels.rng import block_streams, stream
+from ontomodels.rng import stream
 
 
 def test_same_labels_bit_identical():
@@ -35,10 +35,3 @@ def test_stream_independent_of_other_draws():
     g1.random(1000)
     fresh = stream(9, "b").random(4)
     assert np.array_equal(fresh, stream(9, "b").random(4))
-
-
-def test_block_streams_match_labeled_streams():
-    blocks = block_streams(11, "mc", n_blocks=3)
-    for j, g in enumerate(blocks):
-        want = stream(11, "mc", "block", j).random(4)
-        assert np.array_equal(g.random(4), want)

@@ -12,6 +12,7 @@ from ontomodels.simplex import (
     LinearProgram,
     LPError,
     _Tableau,
+    _array,
     simplex_solve,
     verify_farkas,
 )
@@ -234,6 +235,25 @@ def test_ratio_tie_leaves_the_smallest_basic_index(exact):
     tab.set_objective(np.array([num(1)] + [num(0)] * 4, dtype=a.dtype))
     assert tab.run(3, 10) == ("optimal", 1)
     assert tab.basis == [2, 0]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_phase1_column_sums_match_priced_out_objective(exact):
+    # simplex_solve starts phase 1 from the tableau's column sums; pricing
+    # the objective -sum(artificials) out row by row gives the same bits
+    rng = np.random.default_rng(3)
+    tol = Fraction(0) if exact else FEAS_TOL
+    for _ in range(30):
+        m, n = (int(k) for k in rng.integers(1, 40, size=2))
+        a = rng.integers(-9, 10, size=(m, n))
+        b = rng.integers(0, 10, size=m)
+        if not exact:
+            a, b = a / 7, b / 3
+        tab = _Tableau(_array(a.tolist(), exact), _array(b.tolist(), exact), tol)
+        sums = tab.t.sum(axis=0)
+        sums[n:n + m] = tol * 0
+        tab.set_objective(_array([0] * n + [-1] * m, exact))
+        assert sums.tolist() == tab.obj.tolist()
 
 
 @pytest.mark.parametrize("exact", [False, True])
