@@ -56,7 +56,7 @@ def main():
         for k in range(20):
             psi_k = random_state(model.dim, stream(SEED, 'state', k))
             res = check(model, psi_k, n_samples=10000, seed=SEED + k)
-            assert res.passed, res.detail
+            assert res.passed, res.witness
             worst = res
         print('{:24s} no violation in 20 states x {} samples'.format(
             worst.name, worst.n_samples))

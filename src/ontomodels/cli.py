@@ -42,8 +42,8 @@ from .framework import (
     born_suite_pairs,
     canonical_mix_contexts,
     classify,
-    default_engine,
     prep_context_distance,
+    table_cells,
 )
 from .hilbert import DensityOperator, mix
 from .ksval import (
@@ -146,43 +146,22 @@ def cmd_classify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _declared_row(model) -> dict:
-    d = model.declared
-    return {
-        "reciprocity": "yes" if d.reciprocal else "no",
-        "determinism": "yes" if d.outcome_deterministic else "no",
-        "contextual": "yes" if d.measurement_contextual else "no",
-    }
-
-
 def cmd_table(cfg: RunConfig, models=None) -> int:
     models = table_models() if models is None else list(models)
     rows = []
-    any_mismatch = False
     for model in models:
-        declared = _declared_row(model)
-        row = {
+        # stubs cannot run: their cells are their claims
+        rep = classify(model, cfg.trials, cfg.seed) if model.implemented else None
+        rows.append({
             "name": model.name,
             "display_name": model.display_name,
             "type": model.table_type,
             "implemented": model.implemented,
-        }
-        if model.implemented:
-            rep = classify(model, n_trials=cfg.trials, seed=cfg.seed)
-            measured = rep.table_row()
-            row.update(
-                {k: measured[k] for k in ("reciprocity", "determinism", "contextual")}
-            )
-            row["source"] = "measured"
-            mismatch = rep.mismatches(model.declared)
-            row["mismatch"] = mismatch or None
-            if mismatch:
-                any_mismatch = True
-        else:
-            row.update(declared)
-            row["source"] = "declared"
-            row["mismatch"] = None
-        rows.append(row)
+            **table_cells(rep.holds if rep else model.declared.claims()),
+            "source": "measured" if rep else "declared",
+            "mismatch": (rep.mismatches(model.declared) or None) if rep else None,
+        })
+    any_mismatch = any(r["mismatch"] for r in rows)
 
     body = {"rows": rows, "all_match": not any_mismatch, "n_trials": cfg.trials}
     envelope = reports.build_report("table", body, cfg.seed)
@@ -204,6 +183,8 @@ def cmd_table(cfg: RunConfig, models=None) -> int:
 
 
 def cmd_ksval(cfg: RunConfig) -> int:
+    if cfg.limit is not None and not cfg.enumerate_all:
+        raise UsageError("ksval --limit needs --all")
     path = cfg.input
     vset = load_vector_set(path)
     graph = build_graph(vset)
@@ -294,10 +275,7 @@ def cmd_prepctx(cfg: RunConfig) -> int:
     ctx_a = pair[_CTX_INDEX[cfg.contexts[0]]]
     ctx_b = pair[_CTX_INDEX[cfg.contexts[1]]]
     rho = DensityOperator(np.eye(model.dim) / model.dim)
-    if cfg.engine:
-        engine = parse_engine(cfg.engine, seed=cfg.seed)
-    else:
-        engine = default_engine(model, for_densities=True)
+    engine = parse_engine(cfg.engine or model.default_engine_spec, seed=cfg.seed)
     mix_deviation = max(
         float(np.max(np.abs(mix(ctx.payload).matrix - rho.matrix)))
         for ctx in (ctx_a, ctx_b)

@@ -51,6 +51,7 @@ from .engines import (
     MonteCarlo,
     SphereQuadrature,
     _block_sizes,
+    parse_engine,
 )
 from .hilbert import (
     Decomposition,
@@ -184,6 +185,29 @@ class DeclaredProperties:
     measurement_contextual: bool
     preparation_contextual: bool
     psi_dependent_response: bool
+
+    def claims(self) -> dict:
+        """{predicate: claimed to hold}, in PREDICATES order.  The only code
+        that maps a field to its predicate and says which way round it goes."""
+        return {
+            "reciprocity": self.reciprocal,
+            "outcome_determinism": self.outcome_deterministic,
+            "measurement_noncontextuality": not self.measurement_contextual,
+            "preparation_noncontextuality": not self.preparation_contextual,
+            "response_state_independence": not self.psi_dependent_response,
+        }
+
+
+def table_cells(holds: dict) -> dict:
+    """The summary table's yes/no cells from {predicate: holds}."""
+    def yes(flag):
+        return "yes" if flag else "no"
+
+    return {
+        "reciprocity": yes(holds["reciprocity"]),
+        "determinism": yes(holds["outcome_determinism"]),
+        "contextual": yes(not holds["measurement_noncontextuality"]),
+    }
 
 
 @dataclass(frozen=True)
@@ -517,7 +541,6 @@ class CheckResult:
     passed: bool
     n_samples: int
     witness: dict | None = None
-    detail: str = ""
 
     def to_jsonable(self) -> dict:
         return {
@@ -525,7 +548,6 @@ class CheckResult:
             "passed": self.passed,
             "n_samples": self.n_samples,
             "witness": self.witness,
-            "detail": self.detail,
         }
 
 
@@ -726,7 +748,8 @@ def is_maximally_epistemic(model, n_pairs=20, engine=None, seed=None) -> MaxEpis
             )
     f_maximal = witness is None
 
-    decl = model.declared.reciprocal and model.declared.outcome_deterministic
+    claims = model.declared.claims()
+    decl = claims["reciprocity"] and claims["outcome_determinism"]
     rd_seed = seed + 1
     recip_wit, _ = _run_probe("reciprocity", model, 2048, rd_seed)
     det_wit, _ = _run_probe("determinism", model, 2048, rd_seed)
@@ -976,7 +999,7 @@ def _probe_prep_context(model, seed):
     dim = model.dim
     ctx_a, ctx_b = canonical_mix_contexts(dim)
     rho = mix(ctx_a.payload)
-    engine = default_engine(model, for_densities=True)
+    engine = default_engine(model)
     tv = prep_context_distance(model, rho, ctx_a, ctx_b, engine)
     if tv > PREP_TV_CONTEXTUAL:
         wit = _witness(
@@ -1037,7 +1060,7 @@ def functional_dependence_test(model, n_trials=512, seed=None) -> Status:
         )
 
     wit, checked = _run_probe("functional_dependence", model, n_trials, seed)
-    return _status(not model.declared.psi_dependent_response, wit, checked)
+    return _status(model.declared.claims()["response_state_independence"], wit, checked)
 
 
 # Probes whose trial inputs come from the seed alone: kind -> (trial, block).
@@ -1082,36 +1105,28 @@ class ClassificationReport:
         declaration within budget), so a mismatch was declared to hold
         exactly when its status is falsified.
         """
-        want = {
-            "reciprocity": declared.reciprocal,
-            "outcome_determinism": declared.outcome_deterministic,
-            "measurement_noncontextuality": not declared.measurement_contextual,
-            "preparation_noncontextuality": not declared.preparation_contextual,
-            "response_state_independence": not declared.psi_dependent_response,
-        }
+        claims = declared.claims()
         return {
             name: {
                 "declared": "holds" if st.value == "falsified" else "fails",
                 "measured": st.value,
             }
             for name, st in self.predicates.items()
-            if st.value != "not_applicable" and (st.value == "falsified") == want[name]
+            if st.value != "not_applicable" and (st.value == "falsified") == claims[name]
         }
 
     def matches_declared(self, declared: DeclaredProperties) -> bool:
         return not self.mismatches(declared)
 
+    @property
+    def holds(self) -> dict:
+        return {name: st.holds for name, st in self.predicates.items()}
+
     def table_row(self) -> dict:
         return {
             "model": self.display_name,
             "type": self.table_type,
-            "reciprocity": "yes" if self.predicates["reciprocity"].holds else "no",
-            "determinism": "yes"
-            if self.predicates["outcome_determinism"].holds
-            else "no",
-            "contextual": "no"
-            if self.predicates["measurement_noncontextuality"].holds
-            else "yes",
+            **table_cells(self.holds),
         }
 
     def to_jsonable(self) -> dict:
@@ -1129,37 +1144,34 @@ class ClassificationReport:
         }
 
 
-def default_engine(model, for_densities=False):
-    from .engines import parse_engine
-
-    if for_densities and model.ontic_space.kind == "sphere2":
-        return SphereQuadrature(17)
+def default_engine(model):
     return parse_engine(model.default_engine_spec)
+
+
+# The predicates classify tests with a seeded probe, and the probe kind.
+_CLASSIFY_PROBES = (
+    ("reciprocity", "reciprocity"),
+    ("outcome_determinism", "determinism"),
+    ("measurement_noncontextuality", "measurement_context"),
+)
 
 
 def classify(model, n_trials=4096, seed=None) -> ClassificationReport:
     """Falsification-test every declared property of the model."""
     seed = DEFAULT_SEED if seed is None else int(seed)
-    d = model.declared
-
-    recip_wit, n1 = _run_probe("reciprocity", model, n_trials, seed)
-    det_wit, n2 = _run_probe("determinism", model, n_trials, seed)
-    ctx_wit, n3 = _run_probe("measurement_context", model, n_trials, seed)
-    prep_wit, tv = _probe_prep_context(model, seed)
-    func_status = functional_dependence_test(model, min(n_trials, 512), seed)
-
+    claims = model.declared.claims()
     predicates = {
-        "reciprocity": _status(d.reciprocal, recip_wit, n1),
-        "outcome_determinism": _status(d.outcome_deterministic, det_wit, n2),
-        "measurement_noncontextuality": _status(
-            not d.measurement_contextual, ctx_wit, n3
-        ),
-        "preparation_noncontextuality": _status(
-            not d.preparation_contextual, prep_wit, 1,
-            note=f"tv_distance={tv:.6g}",
-        ),
-        "response_state_independence": func_status,
+        name: _status(claims[name], *_run_probe(kind, model, n_trials, seed))
+        for name, kind in _CLASSIFY_PROBES
     }
+    prep_wit, tv = _probe_prep_context(model, seed)
+    predicates["preparation_noncontextuality"] = _status(
+        claims["preparation_noncontextuality"], prep_wit, 1,
+        note=f"tv_distance={tv:.6g}",
+    )
+    predicates["response_state_independence"] = functional_dependence_test(
+        model, min(n_trials, 512), seed
+    )
     return ClassificationReport(
         model=model.name,
         display_name=model.display_name,

@@ -360,94 +360,76 @@ def make_ws(d: int = 3) -> OntologicalModel:
 # Declared-only stubs and the registry
 
 
-def _stub(name, display, table_type, declared, dim) -> OntologicalModel:
+def _stub(name, display, table_type, *declared):
+    """The build(dim) of a declared-only model; declared holds the
+    DeclaredProperties fields in order."""
+
     def unavailable(*args, **kwargs):
         raise NotImplementedError(f"model {name} ships as a declared-only stub")
 
-    return OntologicalModel(
-        name=name,
-        display_name=display,
-        table_type=table_type,
-        ontic_space=OnticSpace(kind="ray", dim=dim, reference_sampler=unavailable),
-        prepare_pure=unavailable,
-        respond=ResponseFunction(
-            evaluate=unavailable, core=unavailable, support=unavailable
-        ),
-        declared=declared,
-        dim=dim,
-        implemented=False,
-    )
+    def build(dim) -> OntologicalModel:
+        return OntologicalModel(
+            name=name,
+            display_name=display,
+            table_type=table_type,
+            ontic_space=OnticSpace(kind="ray", dim=dim, reference_sampler=unavailable),
+            prepare_pure=unavailable,
+            respond=ResponseFunction(
+                evaluate=unavailable, core=unavailable, support=unavailable
+            ),
+            declared=DeclaredProperties(*declared),
+            dim=dim,
+            implemented=False,
+        )
+
+    return build
 
 
-def make_aaronson() -> OntologicalModel:
-    return _stub(
-        "aaronson", "Aaronson", "ontic-supplem.",
-        DeclaredProperties(True, False, True, True, True), 2,
-    )
+# In table order: name -> (build(dim), the one dimension it supports or
+# None, default dimension).
+_REGISTRY = {
+    "bb": (make_bb, None, 2),
+    "ks": (lambda d: make_ks(), 2, 2),
+    "aaronson": (
+        _stub("aaronson", "Aaronson", "ontic-supplem.", True, False, True, True, True),
+        2, 2,
+    ),
+    "bell1": (
+        _stub("bell1", "Bell 1st", "ontic-supplem.", False, True, True, True, True),
+        2, 2,
+    ),
+    "bell2": (lambda d: make_bell2(), 2, 2),
+    "aerts": (
+        _stub("aerts", "Aerts", "ontic-complete (d=2)", True, False, False, True, True),
+        2, 2,
+    ),
+    "ws": (make_ws, None, 3),
+}
 
-
-def make_bell1() -> OntologicalModel:
-    return _stub(
-        "bell1", "Bell 1st", "ontic-supplem.",
-        DeclaredProperties(False, True, True, True, True), 2,
-    )
-
-
-def make_aerts() -> OntologicalModel:
-    return _stub(
-        "aerts", "Aerts", "ontic-complete (d=2)",
-        DeclaredProperties(True, False, False, True, True), 2,
-    )
-
-
-TABLE_ORDER = ("bb", "ks", "aaronson", "bell1", "bell2", "aerts", "ws")
-
-_FIXED_DIM = {"ks": 2, "bell2": 2, "aaronson": 2, "bell1": 2, "aerts": 2}
-_DEFAULT_DIM = {"bb": 2, "ws": 3}
+TABLE_ORDER = tuple(_REGISTRY)
 
 
 def get_model(spec: str) -> OntologicalModel:
     """Resolve a registry name like "ks", "bb:3", or "ws:4"."""
     parts = str(spec).strip().split(":")
-    base = parts[0]
-    if base not in TABLE_ORDER:
+    if parts[0] not in _REGISTRY or len(parts) > 2:
         raise UnknownModelError(f"unknown model {spec!r}")
-    if len(parts) > 2:
-        raise UnknownModelError(f"unknown model {spec!r}")
-    dim = None
+    build, fixed, dim = _REGISTRY[parts[0]]
     if len(parts) == 2:
         try:
             dim = int(parts[1])
         except ValueError:
             raise UnknownModelError(f"unknown model {spec!r}") from None
-    if base in _FIXED_DIM:
-        if dim is not None and dim != _FIXED_DIM[base]:
-            raise UnsupportedDimensionError(
-                f"model {base} is defined for dimension {_FIXED_DIM[base]} only"
-            )
-        dim = _FIXED_DIM[base]
-    elif dim is None:
-        dim = _DEFAULT_DIM[base]
+    if fixed is not None and dim != fixed:
+        raise UnsupportedDimensionError(
+            f"model {parts[0]} is defined for dimension {fixed} only"
+        )
     if dim < 2:
         raise UnsupportedDimensionError("dimension must be at least 2")
-
-    if base == "bb":
-        return make_bb(dim)
-    if base == "ks":
-        return make_ks()
-    if base == "bell2":
-        return make_bell2()
-    if base == "ws":
-        return make_ws(dim)
-    if base == "aaronson":
-        return make_aaronson()
-    if base == "bell1":
-        return make_bell1()
-    return make_aerts()
+    return build(dim)
 
 
 def table_models() -> list:
-    """The seven summary-table models in their canonical order; concrete
-    entries are instantiated at the dimensions their claims need."""
-    specs = ("bb:3", "ks", "aaronson", "bell1", "bell2", "aerts", "ws:3")
-    return [get_model(s) for s in specs]
+    """The seven summary-table models in TABLE_ORDER; the models defined in
+    every dimension sit at d = 3, where their claims need it."""
+    return [get_model(n if _REGISTRY[n][1] else f"{n}:3") for n in TABLE_ORDER]

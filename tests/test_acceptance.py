@@ -116,9 +116,9 @@ def test_c2_certainty_and_support_chain():
         for k in range(20):
             psi = random_state(model.dim, stream(99, name, k))
             res = check_quantum_certainty(model, psi, n_samples=10000, seed=1000 + k)
-            assert res.passed, (name, k, res.detail)
+            assert res.passed, (name, k, res.witness)
             res = check_support_chain(model, psi, n_samples=10000, seed=2000 + k)
-            assert res.passed, (name, k, res.detail)
+            assert res.passed, (name, k, res.witness)
     dt = time.monotonic() - t0
     assert dt < 30.0
     gate(2, "quantum certainty and support chain", "{:.1f}s".format(dt))

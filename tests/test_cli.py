@@ -175,6 +175,22 @@ class TestReportDeterminism:
         assert silent == ""
         assert target.read_text() == out
 
+    # sha256 prefixes of whole reports, taken before the declared claims and
+    # the model registry were each reduced to one table
+    @pytest.mark.parametrize("argv,digest", [
+        (("table", "--format", "json"), "81fd27b56393b353"),
+        (("table", "--format", "text"), "4e20ae1cb5a0468c"),
+        (("table", "--format", "csv"), "611492f6364b15c4"),
+        (("classify", "--model", "bb:3"), "0d0bacef5b660166"),
+        (("classify", "--model", "ks"), "2b642267f8dca2b5"),
+        (("classify", "--model", "bell2"), "280e550a0fd6385c"),
+        (("classify", "--model", "ws:3"), "0cc6143bd0c6d25e"),
+    ])
+    def test_table_and_classify_reports_pinned(self, argv, digest):
+        rc, out, _ = run_cli(*argv, "--trials", "512", "--seed", "3")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
 
 class TestSeedResolution:
     def test_env_var_sets_default_seed(self, monkeypatch):
@@ -363,6 +379,16 @@ class TestKsval:
         assert rc == 2
         assert out == ""
         assert f"--limit must be at least 1, got {limit}" in err
+
+    def test_limit_without_all_is_usage_error(self, tmp_path):
+        rc, out, err = run_cli("ksval", TRIAD, "--limit", "2")
+        assert (rc, out) == (2, "")
+        assert "ksval --limit needs --all" in err
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("limit = 2\n")
+        rc, out, err = run_cli("ksval", TRIAD, "--config", str(cfgfile))
+        assert (rc, out) == (2, "")
+        assert "ksval --limit needs --all" in err
 
     def test_sat_search_returns_valuation(self):
         rc, rep = run_json("ksval", TWOTRIADS)

@@ -26,7 +26,7 @@ from ontomodels.hilbert import (
     state,
 )
 from ontomodels.reports import canonical_json
-from ontomodels.zoo import get_model, make_bb, make_bell2, make_ks, make_ws
+from ontomodels.zoo import get_model, make_bb, make_bell2, make_ks, make_ws, table_models
 
 QUAD = parse_engine("quad:17")
 CLOSED = parse_engine("closed")
@@ -280,6 +280,10 @@ class TestClassify:
         got = rep.table_row()
         assert (got["reciprocity"], got["determinism"], got["contextual"]) == row
         assert rep.matches_declared(model.declared)
+
+    def test_claims_cover_the_predicates_in_order(self):
+        for model in table_models():
+            assert tuple(model.declared.claims()) == fw.PREDICATES, model.name
 
     def test_deficiency_is_derived(self):
         assert fw.classify(make_ks(), n_trials=1024, seed=1).deficient is False

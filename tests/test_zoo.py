@@ -20,6 +20,7 @@ from ontomodels.zoo import (
     make_ws,
     table_models,
 )
+from test_cli import EXPECTED_TABLE
 
 QUAD = parse_engine("quad:17")
 CLOSED = parse_engine("closed")
@@ -39,10 +40,20 @@ class TestRegistry:
         with pytest.raises(UnsupportedDimensionError):
             get_model("bell2:3")
 
-    @pytest.mark.parametrize("bad", ["", "kss", "bb:x", "bb:1", "bb:2:3"])
+    MALFORMED = {
+        "": (UnknownModelError, "unknown model ''"),
+        "kss": (UnknownModelError, "unknown model 'kss'"),
+        "bb:x": (UnknownModelError, "unknown model 'bb:x'"),
+        "bb:1": (UnsupportedDimensionError, "dimension must be at least 2"),
+        "bb:2:3": (UnknownModelError, "unknown model 'bb:2:3'"),
+    }
+
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_rejects_malformed(self, bad):
-        with pytest.raises((UnknownModelError, UnsupportedDimensionError)):
+        error, message = self.MALFORMED[bad]
+        with pytest.raises(error) as info:
             get_model(bad)
+        assert str(info.value) == message
 
     def test_table_has_seven_rows(self):
         models = table_models()
@@ -225,13 +236,6 @@ class TestDeclaredRows:
             assert rep.matches_declared(model.declared), model.name
 
     def test_stub_rows_render_from_declarations(self):
-        rows = {
-            "aaronson": ("yes", "no", "yes"),
-            "bell1": ("no", "yes", "yes"),
-            "aerts": ("yes", "no", "no"),
-        }
-        for name, (r, d, c) in rows.items():
-            m = get_model(name)
-            assert m.declared.reciprocal == (r == "yes")
-            assert m.declared.outcome_deterministic == (d == "yes")
-            assert m.declared.measurement_contextual == (c == "yes")
+        for name, row in EXPECTED_TABLE.items():
+            cells = fw.table_cells(get_model(name).declared.claims())
+            assert tuple(cells.values()) == row, name
