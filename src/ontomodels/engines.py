@@ -16,7 +16,9 @@ ontic space.  Three interchangeable engines evaluate them:
 * ``MonteCarlo`` averages a function over draws from a caller-supplied
   sampler.  Work is cut into fixed-size blocks, each fed by its own labeled
   stream, so totals are independent of how the blocks are scheduled and any
-  single sample can be regenerated from (seed, labels, index).
+  single sample can be regenerated from (seed, labels, index): sample i is
+  row ``i % MC_BLOCK`` of the batch the sampler draws from
+  ``block_stream(i // MC_BLOCK, *labels)``.
 
 Which engine evaluates which integral over an epistemic state is decided in
 one place, ``framework._expect``.
@@ -62,9 +64,6 @@ class Estimate:
     tolerance: float
     spec: str
     stderr: float | None = None
-
-    def matches(self, target: float) -> bool:
-        return abs(self.value - target) <= self.tolerance
 
 
 class ClosedForm:
@@ -334,17 +333,6 @@ class MonteCarlo:
         var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
         stderr = math.sqrt(var / n)
         return Estimate(mean, 3.0 * stderr, self.spec, stderr=stderr)
-
-    def sample_at(self, index: int, sampler, *labels):
-        """Regenerate the single sample with the given flat index."""
-        if not 0 <= index < self.n_samples:
-            raise EngineError(f"sample index {index} out of range")
-        j, off = divmod(index, MC_BLOCK)
-        m = min(MC_BLOCK, self.n_samples - j * MC_BLOCK)
-        batch = sampler(self.block_stream(j, *labels), m)
-        if isinstance(batch, tuple):
-            return tuple(np.asarray(part)[off] for part in batch)
-        return np.asarray(batch)[off]
 
 
 def sample_sphere(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -58,6 +58,17 @@ def _haar(rng, m, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _register(psi: PureState, m: int) -> np.ndarray:
+    """m rows of psi's amplitudes: a read-only zero-stride view."""
+    return np.broadcast_to(psi.amplitudes, (m, psi.dim))
+
+
+def _distinct_rows(chi: np.ndarray) -> np.ndarray:
+    """chi, or its one row when chi is a zero-stride register: products
+    with it are then computed once and broadcast over the batch."""
+    return chi[:1] if chi.strides[0] == 0 else chi
+
+
 def _find_outcome(phi: PureState, payload) -> int:
     for i, b in enumerate(payload):
         if fidelity_rows(phi.amplitudes[None, :], b)[0] > 1.0 - XI_TOL:
@@ -85,7 +96,7 @@ def make_bb(d: int = 2) -> OntologicalModel:
             space=space,
             label=state_label(psi),
             support=lambda batch: fidelity_rows(batch, psi) > 1.0 - XI_TOL,
-            sampler=lambda rng, m: np.tile(psi.amplitudes, (m, 1)),
+            sampler=lambda rng, m: _register(psi, m),
             point_masses=(atoms, np.array([1.0])),
         )
 
@@ -198,7 +209,7 @@ def make_ks() -> OntologicalModel:
 
 def _replace_state_register(batch, psi: PureState):
     """The batch with every stored quantum state replaced by psi."""
-    return np.tile(psi.amplitudes, (batch[0].shape[0], 1)), batch[1]
+    return _register(psi, batch[0].shape[0]), batch[1]
 
 
 def _decomposition_tv(da, db) -> float:
@@ -243,13 +254,13 @@ def make_bell2() -> OntologicalModel:
             space=space,
             label=state_label(psi),
             support=lambda batch: fidelity_rows(batch[0], psi) > 1.0 - XI_TOL,
-            sampler=lambda rng, m: (np.tile(psi.amplitudes, (m, 1)), rng.random(m)),
+            sampler=lambda rng, m: (_register(psi, m), rng.random(m)),
         )
 
     def decide(phi, batch, sm):
         chi, x = batch
         b1, b2 = _ordered_pair(sm)
-        p1 = fidelity_rows(chi, b1)
+        p1 = fidelity_rows(_distinct_rows(chi), b1)
         return x < p1 if _find_outcome(phi, (b1, b2)) == 0 else x >= p1
 
     respond = ResponseFunction(
@@ -295,7 +306,13 @@ def make_ws(d: int = 3) -> OntologicalModel:
         raise UnsupportedDimensionError("ws needs dimension >= 2")
 
     def gauss(rng, m):
-        return (rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))) / math.sqrt(2.0)
+        # Bit for bit (normal + 1j * normal) / sqrt(2): numpy divides a
+        # complex array by a real scalar as a multiplication by 1 / c.
+        out = np.empty((m, d), dtype=complex)
+        out.real = rng.normal(size=(m, d))
+        out.imag = rng.normal(size=(m, d))
+        out.view(float)[...] *= 1.0 / math.sqrt(2.0)
+        return out
 
     space = OnticSpace(
         kind="composite",
@@ -308,16 +325,16 @@ def make_ws(d: int = 3) -> OntologicalModel:
             space=space,
             label=state_label(psi),
             support=lambda batch: fidelity_rows(batch[0], psi) > 1.0 - XI_TOL,
-            sampler=lambda rng, m: (np.tile(psi.amplitudes, (m, 1)), gauss(rng, m)),
+            sampler=lambda rng, m: (_register(psi, m), gauss(rng, m)),
         )
 
     def winner_index(batch, sm):
         chi, omega = batch
-        basis = np.stack([b.amplitudes for b in sm.payload])
-        a = np.abs(chi @ basis.conj().T)
-        b = np.abs(omega @ basis.conj().T)
+        basis_h = np.stack([b.amplitudes for b in sm.payload]).conj().T
+        a = np.abs(_distinct_rows(chi) @ basis_h)
+        r = np.abs(omega @ basis_h)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = a / b
+            np.divide(a, r, out=r)
         r[np.isnan(r)] = 0.0  # 0/0 counts as ratio 0
         return np.argmax(r, axis=1)  # ties and infinities: lowest index
 

@@ -329,11 +329,22 @@ class TestMonteCarlo:
         sizes = [m for _, m in mc.blocks()]
         assert sizes == [MC_BLOCK, MC_BLOCK, 17]
 
-    def test_sample_at_regenerates(self):
+    def test_block_stream_regenerates_any_sample(self):
+        # Every sample that mean() averaged is row idx % MC_BLOCK of the
+        # batch drawn from block_stream(idx // MC_BLOCK, *labels).
         mc = MonteCarlo(MC_BLOCK + 50, seed=8)
-        idx = MC_BLOCK + 7
-        batch = sample_sphere(mc.block_stream(1, "w"), 50)
-        assert np.array_equal(mc.sample_at(idx, sample_sphere, "w"), batch[7])
+        seen = []
+
+        def sampler(rng, m):
+            seen.append(sample_sphere(rng, m))
+            return seen[-1]
+
+        mc.mean(sampler, lambda p: p[:, 2], "w")
+        drawn = np.concatenate(seen)
+        for idx in (0, 7, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 49):
+            j, off = divmod(idx, MC_BLOCK)
+            again = sample_sphere(mc.block_stream(j, "w"), dict(mc.blocks())[j])
+            assert np.array_equal(again[off], drawn[idx])
 
     def test_estimate_tolerance_is_three_sigma(self):
         est = MonteCarlo(5_000, seed=2).mean(sample_sphere, lambda p: p[:, 0], "s")
@@ -384,4 +395,5 @@ class TestParseEngine:
 
     def test_closed_form_estimate_is_tight(self):
         est = ClosedForm().estimate(0.5)
-        assert est.matches(0.5) and not est.matches(0.5 + 1e-6)
+        assert abs(est.value - 0.5) <= est.tolerance
+        assert abs(est.value - (0.5 + 1e-6)) > est.tolerance

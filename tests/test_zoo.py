@@ -227,6 +227,94 @@ class TestWS:
         assert rep.passed
 
 
+class TestStateRegister:
+    """A prepared point mass in a state register is one read-only row
+    broadcast over the batch; responses compute its products once and
+    must decide exactly as on a materialized copy."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 7, 31])
+    def test_gauss_is_bit_identical_to_the_sum_form(self, d, seed):
+        m = 4099
+        psi = random_state(d, np.random.default_rng(seed))
+        _, omega = make_ws(d).prepare(psi).sampler(stream(seed, "gauss"), m)
+        g = stream(seed, "gauss")
+        ref = (g.normal(size=(m, d)) + 1j * g.normal(size=(m, d))) / math.sqrt(2.0)
+        assert omega.shape == ref.shape and omega.dtype == ref.dtype
+        assert np.array_equal(omega.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("model", [make_ws(3), make_bell2()], ids=["ws:3", "bell2"])
+    def test_prepared_and_replaced_registers_are_zero_stride_views(self, model):
+        g = np.random.default_rng(4)
+        psi, psi2 = random_state(model.dim, g), random_state(model.dim, g)
+        batch = model.prepare(psi).sampler(stream(4, "reg"), 100)
+        swapped = model.replace_state_register(batch, psi2)
+        for reg, s in ((batch[0], psi), (swapped[0], psi2)):
+            assert reg.shape == (100, model.dim) and reg.strides[0] == 0
+            assert not reg.flags.writeable
+            assert np.array_equal(reg, np.tile(s.amplitudes, (100, 1)))
+        assert swapped[1] is batch[1]
+
+    @staticmethod
+    def _same_decisions(model, basis, batch):
+        chi, aux = batch
+        tiled = (np.tile(chi[0], (chi.shape[0], 1)), aux)
+        assert chi.strides[0] == 0
+        sm = MeasContext("basis", tuple(basis))
+        for phi in basis:
+            view = model.respond.core(phi, batch, sm)
+            copy = model.respond.core(phi, tiled, sm)
+            assert view.shape == (chi.shape[0],)
+            assert np.array_equal(view, copy)
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_ws_register_view_decides_like_a_copy(self, d, seed):
+        ws = make_ws(d)
+        g = np.random.default_rng(seed)
+        psi = random_state(d, g)
+        basis = fw.measurement_of(random_state(d, g)).payload
+        self._same_decisions(ws, basis, ws.prepare(psi).sampler(stream(seed, "ws"), 20_000))
+
+    def test_ws_register_view_keeps_the_zero_and_infinite_ratios(self):
+        # The prepared state misses outcome 0: a zero auxiliary amplitude
+        # there is 0/0 (ratio 0), one at outcome 1 or 2 is infinite (wins).
+        ws = make_ws(3)
+        psi = state(0, 0.6, 0.8)
+        basis = [basis_state(3, k) for k in range(3)]
+        chi, omega = ws.prepare(psi).sampler(stream(5, "ws-edge"), 6)
+        omega = omega.copy()
+        omega[0, 0] = 0.0
+        omega[1, 1] = 0.0
+        omega[2, 2] = 0.0
+        omega[3, :2] = 0.0
+        omega[4, :] = 0.0
+        self._same_decisions(ws, basis, (chi, omega))
+        sm = MeasContext("std", tuple(basis))
+        won = [ws.respond.core(b, (chi, omega), sm) for b in basis]
+        assert won[1][1] and won[2][2] and won[1][3] and won[1][4]
+        assert not won[0][:5].any()
+
+    @pytest.mark.parametrize("seed", [3, 8, 12])
+    def test_bell2_register_view_decides_like_a_copy(self, seed):
+        bell2 = make_bell2()
+        g = np.random.default_rng(seed)
+        psi, phi = random_state(2, g), random_state(2, g)
+        basis = (phi, orthogonal_qubit(phi))
+        chi, x = bell2.prepare(psi).sampler(stream(seed, "b2"), 20_000)
+        # x on the threshold itself resolves toward the second outcome.
+        p = np.abs(np.array([np.vdot(b.amplitudes, psi.amplitudes) for b in basis])) ** 2
+        x = np.concatenate([x, p, [0.0, 1.0]])
+        chi = np.broadcast_to(chi[0], (x.shape[0], 2))
+        self._same_decisions(bell2, basis, (chi, x))
+
+    def test_bell2_register_view_on_a_basis_state(self):
+        bell2 = make_bell2()
+        basis = (basis_state(2, 0), basis_state(2, 1))
+        chi, _ = bell2.prepare(basis[1]).sampler(stream(2, "b2-edge"), 3)
+        self._same_decisions(bell2, basis, (chi, np.array([0.0, 0.5, 1.0])))
+
+
 class TestDeclaredRows:
     def test_all_implemented_models_match_their_rows(self):
         for model in table_models():
