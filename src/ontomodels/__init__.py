@@ -29,7 +29,6 @@ from .epibound import (
     load_fragment,
     max_overlap_fraction,
     parse_fragment,
-    save_fragment,
 )
 from .framework import (
     DeclaredProperties,
@@ -128,7 +127,6 @@ __all__ = [
     "prep_context_distance",
     "random_state",
     "replay_witness",
-    "save_fragment",
     "state",
     "stream",
     "table_models",

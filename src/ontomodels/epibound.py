@@ -37,7 +37,6 @@ import numpy as np
 from .framework import (
     DeclaredProperties,
     EpistemicState,
-    MeasContext,
     OnticSpace,
     OntologicalModel,
     ResponseFunction,
@@ -83,10 +82,6 @@ class Fragment:
     @property
     def state_labels(self) -> tuple:
         return tuple(f"psi{i}" for i in range(len(self.states)))
-
-    @property
-    def basis_labels(self) -> tuple:
-        return tuple(f"B{b}" for b in range(len(self.bases)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +285,6 @@ def format_fragment(frag: Fragment) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_fragment(path, frag: Fragment):
-    Path(path).write_text(format_fragment(frag))
-
-
 # ---------------------------------------------------------------------------
 # Pairwise relations of a fragment's vectors
 
@@ -352,7 +343,9 @@ class FragmentRays:
     ``state_rays[i]`` is the prepared state's ray index, or None when the
     state is never measured (then no support constraint binds it).
     ``born[k, i]`` is |<k|psi_i>|^2 for k running over the basis vectors
-    in declared order and then the states (Fractions in exact mode).
+    in declared order and then the states (Fractions in exact mode).  A
+    state on a measured ray stands in as that ray's first vector, both as
+    k and as psi_i.
     """
 
     vectors: tuple
@@ -386,7 +379,10 @@ def fragment_rays(frag: Fragment) -> FragmentRays:
     edges = np.argwhere(np.triu(orth[np.ix_(firsts, firsts)], 1)).tolist()
     graph = graph_from_edges(len(firsts), frag.dim, edges)
     vectors = tuple(flat[f] for f in firsts)
-    born = born[:, n_measured:]  # against the states
+    # Born values against the states; a state on a measured ray takes that
+    # ray's, so the LPs see the same-ray match the atoms were built on.
+    own = [n_measured + i if r is None else firsts[r] for i, r in enumerate(state_rays)]
+    born = born[np.ix_(list(range(n_measured)) + own, own)]
     return FragmentRays(vectors, tuple(basis_rays), tuple(state_rays), graph, born)
 
 
@@ -394,32 +390,13 @@ def fragment_rays(frag: Fragment) -> FragmentRays:
 # Atoms
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One admissible 0/1 valuation of the measured rays.
-
-    ``valuation[r]`` answers ray r; ``outcomes[b]`` is the index of the
-    unique vector valued 1 in basis b.  A ray shared between bases gets
-    one answer, so atoms are noncontextual by construction.
-    """
-
-    valuation: tuple
-    outcomes: tuple
-
-
 def enumerate_atoms(fragment: Fragment, rays: Optional[FragmentRays] = None):
-    """Every atom of the fragment, in deterministic search order."""
+    """Every atom of the fragment, in deterministic search order: one 0/1
+    valuation tuple over the measured rays each.  A ray shared between
+    bases gets one answer, so atoms are noncontextual by construction."""
     if rays is None:
         rays = fragment_rays(fragment)
-    valuations, _ = enumerate_valuations(rays.graph, fragment.dim)
-    atoms = []
-    for val in valuations:
-        outcomes = tuple(
-            next(k for k in range(fragment.dim) if val[ids[k]] == 1)
-            for ids in rays.basis_rays
-        )
-        atoms.append(Atom(tuple(val), outcomes))
-    return atoms
+    return list(enumerate_valuations(rays.graph, fragment.dim)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +445,7 @@ class _AtomTable:
 def _atom_table(fragment: Fragment) -> _AtomTable:
     rays = fragment_rays(fragment)
     atoms = enumerate_atoms(fragment, rays)
-    val = np.array([a.valuation for a in atoms], dtype=int).reshape(-1, len(rays.vectors))
+    val = np.array(atoms, dtype=int).reshape(-1, len(rays.vectors))
     admissible = np.ones((len(rays.state_rays), len(atoms)), dtype=bool)
     for i, r in enumerate(rays.state_rays):
         if r is not None:
@@ -707,14 +684,6 @@ def _state_index(fragment: Fragment, psi: PureState) -> int:
     raise ValueError("state is not one of the fragment's preparations")
 
 
-def fragment_contexts(fragment: Fragment):
-    """Measurement contexts for the fragment's bases, in declared order."""
-    return [
-        MeasContext(label, tuple(basis))
-        for label, basis in zip(fragment.basis_labels, fragment.bases)
-    ]
-
-
 def fragment_model(
     fragment: Fragment, weights, name: str = "fragment-lp"
 ) -> OntologicalModel:
@@ -741,7 +710,6 @@ def fragment_model(
         dim=fragment.dim,
         reference_sampler=lambda rng, m: rng.integers(0, n_atoms, size=m),
         reference_mass=float(n_atoms),
-        atoms=tuple(table.atoms),
     )
 
     def ray_of(phi: PureState) -> int:

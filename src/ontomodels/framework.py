@@ -105,15 +105,15 @@ class OnticSpace:
     kind is one of "sphere2" (unit directions, solid-angle measure),
     "ray" (projective Hilbert space, Haar probability), "composite"
     (state register times an auxiliary factor, product measure), or
-    "finite" (atom list, counting measure).  reference_sampler(rng, m)
-    draws m points from the normalized reference distribution.
+    "finite" (atom indices 0..n-1, counting measure, reference_mass n).
+    reference_sampler(rng, m) draws m points from the normalized
+    reference distribution.
     """
 
     kind: str
     dim: int
     reference_sampler: object = field(repr=False)
     reference_mass: float = 1.0
-    atoms: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -236,29 +236,18 @@ class OntologicalModel:
                 f"model {self.name} does not support dimension {d}"
             )
 
-    def prepare(self, target, ctx: PrepContext | None = None) -> EpistemicState:
-        """Epistemic state for a pure state or a convex decomposition."""
-        if isinstance(target, Decomposition):
-            self.check_dim(target.dim)
-            parts = [(w, self.prepare_pure(s)) for w, s in target.components]
-            label = ctx.label if ctx is not None else "mix"
-            return mixture_state(self.ontic_space, parts, label)
-        if not isinstance(target, PureState):
-            raise TypeError("prepare expects a PureState or a Decomposition")
-        self.check_dim(target.dim)
-        return self.prepare_pure(target)
+    def prepare(self, psi: PureState) -> EpistemicState:
+        """Epistemic state for a pure state.  Mixed preparations are read
+        only by ``prep_context_distance``, which prepares each component."""
+        if not isinstance(psi, PureState):
+            raise TypeError("prepare expects a PureState")
+        self.check_dim(psi.dim)
+        return self.prepare_pure(psi)
 
 
 # ---------------------------------------------------------------------------
 # Batch plumbing.  A batch is an (m, ...) array, or a tuple of such arrays
 # for composite spaces; all model callables are vectorized over batches.
-
-
-def batch_concat(batches):
-    if isinstance(batches[0], tuple):
-        k = len(batches[0])
-        return tuple(np.concatenate([b[i] for b in batches]) for i in range(k))
-    return np.concatenate(batches)
 
 
 def batch_take(batch, idx):
@@ -292,51 +281,6 @@ def measurement_of(phi: PureState, label: str | None = None) -> MeasContext:
     """Default measurement context: phi completed to an ordered basis."""
     basis = complete_basis(phi)
     return MeasContext(label or ("meas:" + state_label(phi)), basis)
-
-
-def mixture_state(space, weighted_parts, label: str) -> EpistemicState:
-    """Convex mixture of epistemic states over one space."""
-    weights = np.array([w for w, _ in weighted_parts], dtype=float)
-    parts = [p for _, p in weighted_parts]
-
-    def support(batch):
-        ok = parts[0].support(batch)
-        for p in parts[1:]:
-            ok = ok | p.support(batch)
-        return ok
-
-    density = None
-    if all(p.density is not None for p in parts):
-        def density(batch, _w=weights, _p=parts):
-            return sum(w * p.density(batch) for w, p in zip(_w, _p))
-
-    sampler = None
-    if all(p.sampler is not None for p in parts):
-        def sampler(rng, m, _w=weights, _p=parts):
-            counts = rng.multinomial(m, _w / _w.sum())
-            drawn = [p.sampler(rng, int(c)) for p, c in zip(_p, counts) if c]
-            return batch_concat(drawn)
-
-    point_masses = None
-    if all(p.point_masses is not None for p in parts):
-        atoms = batch_concat([p.point_masses[0] for p in parts])
-        ws = np.concatenate(
-            [w * p.point_masses[1] for w, p in zip(weights, parts)]
-        )
-        point_masses = (atoms, ws)
-
-    axes = []
-    for p in parts:
-        axes.extend(p.split_axes)
-    return EpistemicState(
-        space=space,
-        label=label,
-        support=support,
-        density=density,
-        sampler=sampler,
-        point_masses=point_masses,
-        split_axes=tuple(axes),
-    )
 
 
 def point_mass_tv(pm_a, pm_b) -> float:
@@ -941,48 +885,47 @@ def prep_context_distance(model, rho: DensityOperator, ctx_a, ctx_b, engine) -> 
             raise PreparationMismatchError(
                 f"context {ctx.label} does not prepare the requested state"
             )
-    mu_a = model.prepare(ctx_a.payload, ctx_a)
-    mu_b = model.prepare(ctx_b.payload, ctx_b)
-
-    if mu_a.point_masses is not None and mu_b.point_masses is not None:
-        pm = []
-        for mu in (mu_a, mu_b):
-            atoms, weights = mu.point_masses
-            pm.append(
-                [(PureState(np.asarray(atoms[i])), float(weights[i]))
-                 for i in range(len(weights))]
-            )
-        return point_mass_tv(pm[0], pm[1])
+    # A procedure's epistemic state is the weighted sum of its components'
+    # states: their densities add, and their split axes all apply.
+    parts_a, parts_b = (
+        [(w, model.prepare(s)) for w, s in ctx.payload.components]
+        for ctx in (ctx_a, ctx_b)
+    )
 
     # The integrals below are against the reference measure, not an
-    # epistemic state, so they need both densities.
-    if isinstance(engine, ClosedForm) or mu_a.density is None or mu_b.density is None:
+    # epistemic state, so they need every component's density.
+    if isinstance(engine, ClosedForm) or any(
+        mu.density is None for _, mu in parts_a + parts_b
+    ):
         if model.prep_tv_closed is None:
             raise EngineError(
                 f"model {model.name} has no closed-form preparation distance"
             )
         return float(model.prep_tv_closed(ctx_a.payload, ctx_b.payload))
 
+    def integrand(pts):
+        f_a = sum(w * mu.density(pts) for w, mu in parts_a)
+        f_b = sum(w * mu.density(pts) for w, mu in parts_b)
+        return np.abs(f_a - f_b)
+
     if isinstance(engine, SphereQuadrature):
-        axes = tuple(mu_a.split_axes) + tuple(mu_b.split_axes)
+        axes_a = [n for _, mu in parts_a for n in mu.split_axes]
+        axes_b = [n for _, mu in parts_b for n in mu.split_axes]
         extra = []
         # Kinks of |f_a - f_b| also lie where the two densities cross;
         # for single-axis cosine densities those are the bisector circles.
-        for a in mu_a.split_axes:
-            for b in mu_b.split_axes:
+        for a in axes_a:
+            for b in axes_b:
                 for s in (a + b, a - b):
                     n = np.linalg.norm(s)
                     if n > 1e-9:
                         extra.append(s / n)
-        def integrand(pts):
-            return np.abs(mu_a.density(pts) - mu_b.density(pts))
-        return 0.5 * engine.integrate(integrand, axes + tuple(extra))
+        return 0.5 * engine.integrate(integrand, tuple(axes_a + axes_b + extra))
 
     if isinstance(engine, MonteCarlo):
         space = model.ontic_space
         est = engine.mean(
-            space.reference_sampler,
-            lambda pts: np.abs(mu_a.density(pts) - mu_b.density(pts)),
+            space.reference_sampler, integrand,
             "prep-tv", model.name, ctx_a.label, ctx_b.label,
         )
         return 0.5 * space.reference_mass * est.value

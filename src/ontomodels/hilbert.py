@@ -48,9 +48,6 @@ class PureState:
         """Equality up to global phase: |<a|b>| = 1 within atol."""
         return abs(abs(self.inner(other)) - 1.0) <= atol
 
-    def orthogonal_to(self, other: "PureState", atol: float = ATOL) -> bool:
-        return abs(self.inner(other)) <= atol
-
     def projector_matrix(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
@@ -183,28 +180,6 @@ def state_to_bloch(psi: PureState) -> BlochVector:
         y=float(2.0 * (np.conj(a0) * a1).imag),
         z=float(abs(a0) ** 2 - abs(a1) ** 2),
     )
-
-
-def bloch_to_state(n) -> PureState:
-    """Inverse Bloch map: n = (sin t cos p, sin t sin p, cos t) -> state.
-
-    Returns cos(t/2)|0> + e^{ip} sin(t/2)|1>, the representative with real
-    non-negative first amplitude (or e1 for the south pole).
-    """
-    arr = n.as_array() if isinstance(n, BlochVector) else np.asarray(n, dtype=float)
-    theta = np.arccos(np.clip(arr[2], -1.0, 1.0))
-    phi = np.arctan2(arr[1], arr[0])
-    return PureState(
-        np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-    )
-
-
-def orthogonal_qubit(psi: PureState) -> PureState:
-    """The unique (up to phase) d=2 state orthogonal to psi."""
-    if psi.dim != 2:
-        raise DimensionMismatchError("orthogonal_qubit requires dim 2")
-    a0, a1 = psi.amplitudes
-    return PureState(np.array([-np.conj(a1), np.conj(a0)]))
 
 
 def complete_basis(phi: PureState) -> tuple:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from math import gcd, isqrt, lcm, sqrt
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -44,15 +43,14 @@ class VectorFileError(ValueError):
         self.line = line
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Surd:
     """Exact real number p + q*sqrt(r) with rational p, q and integer r >= 0.
 
     Normalized so that a perfect-square radical folds into the rational
-    part and q == 0 forces r == 0.  Closed under +, -, *; equality and sign
-    are decided exactly.  Files are read and written as Surds, while the
-    ray geometry runs on integer arrays (see ``_integer_rays``).
+    part and q == 0 forces r == 0, so equality is decided exactly.  Files
+    are read and written as Surds, while the ray geometry runs on integer
+    arrays (see ``_integer_rays``).
     """
 
     p: Fraction = Fraction(0)
@@ -83,32 +81,6 @@ class Surd:
             )
         return self.r if self.q else other.r
 
-    def __add__(self, other) -> "Surd":
-        other = _as_surd(other)
-        return Surd(self.p + other.p, self.q + other.q, self._join(other))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Surd":
-        return Surd(-self.p, -self.q, self.r)
-
-    def __sub__(self, other) -> "Surd":
-        return self + (-_as_surd(other))
-
-    def __rsub__(self, other) -> "Surd":
-        return _as_surd(other) - self
-
-    def __mul__(self, other) -> "Surd":
-        other = _as_surd(other)
-        r = self._join(other)
-        return Surd(
-            self.p * other.p + self.q * other.q * r,
-            self.p * other.q + self.q * other.p,
-            r,
-        )
-
-    __rmul__ = __mul__
-
     @property
     def is_zero(self) -> bool:
         return not self.p and not self.q
@@ -116,36 +88,11 @@ class Surd:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def sign(self) -> int:
-        p, q, r = self.p, self.q, self.r
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if (p > 0) == (q > 0):
-            return 1 if p > 0 else -1
-        # opposite signs: |p| vs |q|*sqrt(r) decided by squaring
-        diff = q * q * r - p * p
-        if p > 0:
-            return -1 if diff > 0 else (1 if diff < 0 else 0)
-        return 1 if diff > 0 else (-1 if diff < 0 else 0)
-
-    def __lt__(self, other) -> bool:
-        return (self - _as_surd(other)).sign() < 0
-
     def __float__(self) -> float:
         return float(self.p) + float(self.q) * sqrt(self.r)
 
     def __str__(self) -> str:
         return format_scalar(self)
-
-
-def _as_surd(x) -> Surd:
-    if isinstance(x, Surd):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Surd(Fraction(x))
-    raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
 def parse_scalar(token: str, radical: Optional[int] = None) -> Surd:
@@ -279,7 +226,7 @@ def _surd_rays(vectors):
     lead = next((c for vec in vectors for c in vec if c.q), Surd())
     for vec in vectors:
         for c in vec:
-            lead._join(c)  # one radical per set, as in Surd arithmetic
+            lead._join(c)  # one radical per set: a second one raises
     X, Y = _integer_rays([[(c.p, c.q) for c in vec] for vec in vectors])
     return X, Y, lead.r, _first_repeat(_ray_keys(X, Y, lead.r))
 
@@ -298,11 +245,6 @@ def _checked_rays(vset: VectorSet):
         i, j = pair
         raise ValueError(f"parallel rays: {vset.labels[i]} and {vset.labels[j]}")
     return X, Y, r
-
-
-def validate_vector_set(vset: VectorSet) -> None:
-    """Reject zero vectors and parallel (or duplicate) rays."""
-    _checked_rays(vset)
 
 
 _HEADER = re.compile(r"dim\s*=\s*(\d+)\s+radical\s*=\s*(\d+)")

@@ -76,6 +76,16 @@ def _find_outcome(phi: PureState, payload) -> int:
     raise ValueError("outcome state is not an element of the measurement basis")
 
 
+def _decomposition_tv(da, db) -> float:
+    """Total variation between the states two decompositions prepare, for
+    the models whose ontic state holds the prepared state: each pure
+    component is a point mass on its own state (or register value)."""
+    return point_mass_tv(
+        [(s, w) for w, s in da.components],
+        [(s, w) for w, s in db.components],
+    )
+
+
 # ---------------------------------------------------------------------------
 # bb: the quantum state itself is the ontic state
 
@@ -125,6 +135,7 @@ def make_bb(d: int = 2) -> OntologicalModel:
         ),
         dim=d,
         state_register="whole",
+        prep_tv_closed=_decomposition_tv,
         default_engine_spec="closed",
     )
 
@@ -210,15 +221,6 @@ def make_ks() -> OntologicalModel:
 def _replace_state_register(batch, psi: PureState):
     """The batch with every stored quantum state replaced by psi."""
     return _register(psi, batch[0].shape[0]), batch[1]
-
-
-def _decomposition_tv(da, db) -> float:
-    """Total variation between the states two decompositions prepare: each
-    pure component is a point mass on its own register value."""
-    return point_mass_tv(
-        [(s, w) for w, s in da.components],
-        [(s, w) for w, s in db.components],
-    )
 
 
 # ---------------------------------------------------------------------------

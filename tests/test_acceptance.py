@@ -20,7 +20,6 @@ from ontomodels.data import fragment_path, vector_path
 from ontomodels.engines import ClosedForm, parse_engine
 from ontomodels.epibound import (
     enumerate_atoms,
-    fragment_contexts,
     fragment_model,
     feasibility_max_epistemic,
     load_fragment,
@@ -28,6 +27,7 @@ from ontomodels.epibound import (
 )
 from ontomodels.framework import (
     PREP_TV_CONTEXTUAL,
+    MeasContext,
     ResponseFunction,
     born_suite_pairs,
     canonical_mix_contexts,
@@ -264,7 +264,8 @@ def test_c8_fragment_bounds():
     feas = feasibility_max_epistemic(d2)
     assert feas.status == "Feasible"
     witness = fragment_model(d2, feas.weights, name="d2-witness")
-    rep = verify_born(witness, d2.states, fragment_contexts(d2), ClosedForm())
+    contexts = [MeasContext(f"B{b}", basis) for b, basis in enumerate(d2.bases)]
+    rep = verify_born(witness, d2.states, contexts, ClosedForm())
     assert rep.passed
     assert rep.max_deviation < 1e-12
     bound = max_overlap_fraction(d2)

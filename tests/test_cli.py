@@ -13,8 +13,13 @@ import hashlib
 import io
 import json
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ontomodels import reports
 from ontomodels.cli import (
@@ -26,6 +31,7 @@ from ontomodels.cli import (
     main,
 )
 from ontomodels.data import fragment_path, vector_path
+from ontomodels.epibound import fragment_rays, parse_fragment
 from ontomodels.rng import DEFAULT_SEED
 from ontomodels.zoo import get_model
 
@@ -401,7 +407,7 @@ class TestKsval:
     def test_input_digest_recorded(self):
         _, rep = run_json("ksval", TRIAD)
         entry = rep["inputs"]["triad3.vec"]
-        digest = hashlib.sha256(open(TRIAD, "rb").read()).hexdigest()
+        digest = hashlib.sha256(Path(TRIAD).read_bytes()).hexdigest()
         assert entry["sha256"] == digest
 
     def test_missing_file_is_usage_error(self):
@@ -474,6 +480,102 @@ class TestBound:
         rc, out, err = run_cli("bound", str(bad))
         assert (rc, out) == (2, "")
         assert "line 3" in err
+
+
+def _kcbs_ring(n):
+    """Float fragment text of the KCBS n-cycle (n odd): rays v_k at azimuth
+    k*pi*(n-1)/n around the z axis, tilted so adjacent ones are orthogonal;
+    each adjacent pair and its cross product form a basis; the states are
+    the v_k and the axis."""
+    c = math.cos(math.pi / n)
+    z = math.sqrt(c / (1.0 + c))
+    phis = [k * math.pi * (n - 1) / n for k in range(n)]
+    v = [np.array([math.sqrt(1.0 - z * z) * math.cos(p),
+                   math.sqrt(1.0 - z * z) * math.sin(p), z]) for p in phis]
+
+    def line(u):
+        return " ".join(f"{float(x)!r},0.0" for x in u)
+
+    lines = ["dim=3"] + [f"state: {line(u)}" for u in v + [np.array([0.0, 0.0, 1.0])]]
+    for k in range(n):
+        a, b = v[k], v[(k + 1) % n]
+        lines += ["basis:", line(a), line(b), line(np.cross(a, b))]
+    return "\n".join(lines) + "\n"
+
+
+# Float fragments whose measured states the rotation test moves; d2_zx is
+# read without its exact flag.
+FLOAT_FRAGMENTS = {
+    "kcbs": Path(KCBS_FRAG).read_text(),
+    "d2_zx": Path(D2_FRAG).read_text().replace("exact\n", ""),
+    "ring7": _kcbs_ring(7),
+}
+
+
+def _with_states(text, new_states):
+    """text with the i-th ``state:`` line holding amplitudes new_states[i]."""
+    out, i = [], 0
+    for line in text.splitlines():
+        if line.startswith("state:"):
+            if i in new_states:
+                line = "state: " + " ".join(
+                    f"{complex(a).real!r},{complex(a).imag!r}" for a in new_states[i]
+                )
+            i += 1
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def rotated_states(draw):
+    """A fragment name and its measured states, each turned by at most
+    1e-5 rad, inside the same-ray cut's reach of about 4.5e-5 rad."""
+    name = draw(st.sampled_from(sorted(FLOAT_FRAGMENTS)))
+    frag = parse_fragment(FLOAT_FRAGMENTS[name])
+    new_states = []
+    for i, r in enumerate(fragment_rays(frag).state_rays):
+        if r is None:
+            continue
+        psi = frag.states[i].amplitudes
+        xs = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * frag.dim, max_size=2 * frag.dim))
+        w = np.array(xs[: frag.dim]) + 1j * np.array(xs[frag.dim:])
+        u = w - np.vdot(psi, w) * psi
+        if np.linalg.norm(u) < 0.1:
+            continue
+        theta = draw(st.floats(0.0, 1e-5))
+        amps = math.cos(theta) * psi + math.sin(theta) * u / np.linalg.norm(u)
+        new_states.append((i, tuple(amps)))
+    return name, tuple(new_states)
+
+
+class TestBoundUnderRotatedStates:
+    @pytest.fixture(scope="class")
+    def unperturbed(self, tmp_path_factory):
+        ref = {}
+        for name, text in FLOAT_FRAGMENTS.items():
+            path = tmp_path_factory.mktemp("ref") / f"{name}.frag"
+            path.write_text(text)
+            rc, rep = run_json("bound", str(path))
+            ref[name] = (rc, rep["report"])
+        return ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=rotated_states())
+    # the second kcbs state with 0.4370160244488212 -> 0.437010244488212
+    @example(case=("kcbs", ((1, (-0.6015009550075456, 0.437010244488212, 0.668740304976422)),)))
+    def test_status_and_f_star_stay(self, case, unperturbed, tmp_path_factory):
+        name, new_states = case
+        path = tmp_path_factory.mktemp("rot") / f"{name}.frag"
+        path.write_text(_with_states(FLOAT_FRAGMENTS[name], dict(new_states)))
+        rc, out, err = run_cli("bound", str(path))
+        if rc == 2:
+            assert re.search(r"line \d+", err), err
+            return
+        ref_rc, ref = unperturbed[name]
+        body = json.loads(out)["report"]
+        assert rc == ref_rc
+        assert (body["feasible"], body["f_star_status"]) == (ref["feasible"], ref["f_star_status"])
+        assert abs(body["f_star"] - ref["f_star"]) <= 1e-9
 
 
 class TestPrepctx:

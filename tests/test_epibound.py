@@ -19,14 +19,13 @@ from ontomodels.epibound import (
     enumerate_atoms,
     feasibility_max_epistemic,
     format_fragment,
-    fragment_contexts,
     fragment_model,
     fragment_rays,
     load_fragment,
     max_overlap_fraction,
     parse_fragment,
 )
-from ontomodels.framework import verify_born
+from ontomodels.framework import MeasContext, verify_born
 from ontomodels.hilbert import PureState, born_probability, complete_basis, random_state
 from ontomodels.ksval import find_valuation, graph_from_edges
 from ontomodels.rng import stream
@@ -117,7 +116,8 @@ def oracle_rays(frag):
 def float_oracle(frag):
     """(basis_rays, state_rays, edges, born) of a float fragment by the
     per-pair same_ray / inner / born_probability loops that ``_relations``
-    replaced, kept as its oracle."""
+    replaced, kept as its oracle.  A state matched to a measured ray takes
+    that ray's Born row and column, as ``fragment_rays`` does."""
     flat = [v for b in frag.bases for v in b] + list(frag.states)
     n_measured = len(frag.bases) * frag.dim
     firsts = []
@@ -142,7 +142,9 @@ def float_oracle(frag):
         for j in range(i + 1, len(rays))
         if abs(rays[i].inner(rays[j])) <= ORTH_TOL
     )
-    born = [[born_probability(u, psi) for psi in frag.states] for u in flat]
+    # a state on a measured ray stands in as that ray's first vector
+    own = [flat[n_measured + i] if r is None else rays[r] for i, r in enumerate(state_rays)]
+    born = [[born_probability(u, psi) for psi in own] for u in flat[:n_measured] + own]
     return basis_rays, state_rays, edges, born
 
 
@@ -235,6 +237,11 @@ def exact_cases(draw):
     states = [row() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
     states += draw(st.lists(vector, max_size=2), label="unmeasured")
     return dim, bases, states
+
+
+def contexts(frag):
+    """One measurement context per basis, in declared order."""
+    return [MeasContext(f"B{b}", basis) for b, basis in enumerate(frag.bases)]
 
 
 def triad_fragment(states):
@@ -444,7 +451,7 @@ class TestAtoms:
     def test_single_triad_gives_three_atoms(self):
         atoms = enumerate_atoms(triad_fragment([ps(1, 0, 0)]))
         assert len(atoms) == 3
-        assert sorted(a.valuation for a in atoms) == [
+        assert sorted(atoms) == [
             (0, 0, 1), (0, 1, 0), (1, 0, 0),
         ]
 
@@ -457,7 +464,7 @@ class TestAtoms:
         rays = fragment_rays(kcbs)
         v_rays = [rays.state_rays[i] for i in range(5)]
         picked = sorted(
-            tuple(k for k in range(5) if a.valuation[v_rays[k]]) for a in atoms
+            tuple(k for k in range(5) if a[v_rays[k]]) for a in atoms
         )
         independent = [()]
         independent += [(k,) for k in range(5)]
@@ -468,12 +475,11 @@ class TestAtoms:
         assert picked == sorted(independent)
 
     def test_atom_outcomes_match_valuation(self, kcbs):
+        # each atom fires exactly one outcome of every basis
         rays = fragment_rays(kcbs)
         for atom in enumerate_atoms(kcbs):
-            for b, ids in enumerate(rays.basis_rays):
-                k = atom.outcomes[b]
-                assert atom.valuation[ids[k]] == 1
-                assert sum(atom.valuation[r] for r in ids) == 1
+            for ids in rays.basis_rays:
+                assert sorted(atom[r] for r in ids) == [0, 0, 1]
 
     def test_emptiness_iff_valuation_unsat(self, d2, kcbs, peres):
         for frag in (d2, kcbs, peres):
@@ -502,7 +508,7 @@ class TestFeasibility:
                     mass = sum(
                         res.weights[i][a]
                         for a in range(len(atoms))
-                        if atoms[a].valuation[rays.basis_rays[b][k]] == 1
+                        if atoms[a][rays.basis_rays[b][k]] == 1
                     )
                     assert abs(float(mass) - born_probability(phi, psi)) < 1e-12
 
@@ -514,7 +520,7 @@ class TestFeasibility:
         atoms = enumerate_atoms(frag, rays)
         r = rays.state_rays[0]
         for a, atom in enumerate(atoms):
-            expected = 1.0 if atom.valuation[r] == 1 else 0.0
+            expected = 1.0 if atom[r] == 1 else 0.0
             assert abs(float(res.weights[0][a]) - expected) < 1e-12
 
     def test_unmeasured_state_keeps_all_atoms(self):
@@ -541,7 +547,7 @@ class TestFeasibility:
     def test_feasible_wraps_to_born_passing_model(self, d2):
         res = feasibility_max_epistemic(d2)
         model = fragment_model(d2, res.weights, name="d2-witness")
-        report = verify_born(model, d2.states, fragment_contexts(d2), ClosedForm())
+        report = verify_born(model, d2.states, contexts(d2), ClosedForm())
         assert report.passed
         assert report.max_deviation < 1e-12
 
@@ -554,7 +560,7 @@ class TestFeasibility:
         assert res.max_residual <= 1e-9
         model = fragment_model(frag, res.weights)
         report = verify_born(
-            model, frag.states, fragment_contexts(frag), MonteCarlo(1000, seed=7)
+            model, frag.states, contexts(frag), MonteCarlo(1000, seed=7)
         )
         assert report.passed
 
@@ -639,7 +645,7 @@ class TestFragmentModel:
         res = feasibility_max_epistemic(d2)
         model = fragment_model(d2, res.weights)
         assert model.ontic_space.kind == "finite"
-        assert len(model.ontic_space.atoms) == 4
+        assert model.ontic_space.reference_mass == 4.0  # one unit per atom
         assert model.dim == 2
 
     def test_sampler_respects_support(self, d2):

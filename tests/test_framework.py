@@ -26,7 +26,15 @@ from ontomodels.hilbert import (
     state,
 )
 from ontomodels.reports import canonical_json
-from ontomodels.zoo import get_model, make_bb, make_bell2, make_ks, make_ws, table_models
+from ontomodels.zoo import (
+    _decomposition_tv,
+    get_model,
+    make_bb,
+    make_bell2,
+    make_ks,
+    make_ws,
+    table_models,
+)
 
 QUAD = parse_engine("quad:17")
 CLOSED = parse_engine("closed")
@@ -506,27 +514,18 @@ class TestConsistencyTheorem:
         assert rep.passed and not rep.entries
 
 
-class TestMixtures:
-    def test_mixture_density_normalized(self):
-        ks = make_ks()
-        ctx_a, _ = fw.canonical_mix_contexts(2)
-        mu = ks.prepare(ctx_a.payload, ctx_a)
-        total = QUAD.integrate(mu.density, mu.split_axes)
-        assert total == pytest.approx(1.0, abs=1e-6)
+class TestMixedPreparations:
+    """Mixed preparations exist only inside prep_context_distance."""
 
-    def test_mixture_sampler_lands_in_support(self):
-        ks = make_ks()
-        ctx_a, _ = fw.canonical_mix_contexts(2)
-        mu = ks.prepare(ctx_a.payload, ctx_a)
-        from ontomodels.rng import stream
+    @pytest.mark.parametrize("spec", ["closed", "quad:17", "mc:1000"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bb_distance_is_the_decomposition_tv(self, d, spec):
+        bb = make_bb(d)
+        ctx_a, ctx_b = fw.canonical_mix_contexts(d)
+        tv = fw.prep_context_distance(bb, mix(ctx_a.payload), ctx_a, ctx_b, parse_engine(spec))
+        assert tv == _decomposition_tv(ctx_a.payload, ctx_b.payload)
 
-        pts = mu.sampler(stream(5, "mixtest"), 2000)
-        assert np.all(mu.support(pts))
-
-    def test_point_mass_mixture_weights(self):
-        bb = make_bb(2)
+    def test_prepare_rejects_a_decomposition(self):
         ctx_a, _ = fw.canonical_mix_contexts(2)
-        mu = bb.prepare(ctx_a.payload, ctx_a)
-        atoms, weights = mu.point_masses
-        assert atoms.shape == (2, 2)
-        assert weights.sum() == pytest.approx(1.0)
+        with pytest.raises(TypeError):
+            make_bb(2).prepare(ctx_a.payload)

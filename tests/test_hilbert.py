@@ -12,11 +12,9 @@ from ontomodels.hilbert import (
     DimensionMismatchError,
     PureState,
     basis_state,
-    bloch_to_state,
     born_probability,
     complete_basis,
     mix,
-    orthogonal_qubit,
     random_state,
     state,
     state_to_bloch,
@@ -157,14 +155,6 @@ class TestBloch:
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
-    def test_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        psi = random_state(2, rng)
-        back = bloch_to_state(state_to_bloch(psi))
-        assert psi.same_ray(back, atol=1e-10)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
     def test_born_equals_half_one_plus_dot(self, seed):
         # |<phi|psi>|^2 = (1 + n_phi . n_psi) / 2 on the Bloch sphere.
         rng = np.random.default_rng(seed)
@@ -180,15 +170,12 @@ class TestBloch:
     def test_antipodal_points_are_orthogonal_states(self):
         psi = state(2, 1 - 1j)
         n = state_to_bloch(psi).as_array()
-        anti = bloch_to_state(-n)
-        assert psi.orthogonal_to(anti, atol=1e-10)
+        anti = complete_basis(psi)[1]
+        assert abs(psi.inner(anti)) <= 1e-10
+        assert np.allclose(state_to_bloch(anti).as_array(), -n, atol=1e-10)
 
 
 class TestBasisHelpers:
-    def test_orthogonal_qubit(self):
-        psi = state(1, 2j)
-        assert psi.orthogonal_to(orthogonal_qubit(psi), atol=ATOL)
-
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]))
     @settings(max_examples=40)
     def test_complete_basis_is_orthonormal(self, seed, dim):

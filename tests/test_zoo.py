@@ -8,7 +8,7 @@ import pytest
 from ontomodels import framework as fw
 from ontomodels.engines import parse_engine
 from ontomodels.framework import MeasContext, UnsupportedDimensionError
-from ontomodels.hilbert import basis_state, orthogonal_qubit, random_state, state
+from ontomodels.hilbert import basis_state, complete_basis, random_state, state
 from ontomodels.rng import stream
 from ontomodels.zoo import (
     TABLE_ORDER,
@@ -104,7 +104,7 @@ class TestKS:
     def test_aligned_and_antipodal_probabilities(self):
         ks = make_ks()
         psi = state(1, 1)
-        opp = orthogonal_qubit(psi)
+        opp = complete_basis(psi)[1]
         assert fw.predict_probability(ks, psi, psi, None, QUAD).value == pytest.approx(1.0, abs=1e-6)
         assert fw.predict_probability(ks, psi, opp, None, QUAD).value == pytest.approx(0.0, abs=1e-6)
 
@@ -138,7 +138,7 @@ class TestBell2:
         bell2 = make_bell2()
         p = 0.3
         b1 = state(math.sqrt(p), math.sqrt(1.0 - p))   # bloch x > 0: ordered first
-        b2 = orthogonal_qubit(b1)
+        b2 = complete_basis(b1)[1]
         sm = MeasContext("pair", (b1, b2))
         psi = basis_state(2, 0)  # |<b1|0>|^2 = p
         chi = np.tile(psi.amplitudes, (2, 1))
@@ -157,7 +157,7 @@ class TestBell2:
     def test_basis_order_does_not_matter(self):
         bell2 = make_bell2()
         psi, phi = random_state(2, np.random.default_rng(8)), state(1, 1)
-        basis = (phi, orthogonal_qubit(phi))
+        basis = (phi, complete_basis(phi)[1])
         fwd = MeasContext("fwd", basis)
         rev = MeasContext("rev", tuple(reversed(basis)))
         batch = bell2.prepare(psi).sampler(stream(11, "b2"), 1000)
@@ -300,7 +300,7 @@ class TestStateRegister:
         bell2 = make_bell2()
         g = np.random.default_rng(seed)
         psi, phi = random_state(2, g), random_state(2, g)
-        basis = (phi, orthogonal_qubit(phi))
+        basis = (phi, complete_basis(phi)[1])
         chi, x = bell2.prepare(psi).sampler(stream(seed, "b2"), 20_000)
         # x on the threshold itself resolves toward the second outcome.
         p = np.abs(np.array([np.vdot(b.amplitudes, psi.amplitudes) for b in basis])) ** 2
