@@ -85,7 +85,7 @@ class Fragment:
 
 
 # ---------------------------------------------------------------------------
-# Parsing and formatting
+# Parsing
 
 
 _DIM_RE = re.compile(r"dim\s*=\s*(\d+)$")
@@ -259,30 +259,6 @@ def _check_basis(block, block_pairs, exact: bool, lineno: int):
 def load_fragment(path) -> Fragment:
     path = Path(path)
     return parse_fragment(path.read_text(), name=path.stem)
-
-
-def format_fragment(frag: Fragment) -> str:
-    def token(vec, pairs, k):
-        if frag.exact:
-            p, q = pairs[k]
-            return f"{p},{q}"
-        a = vec.amplitudes[k]
-        return f"{float(a.real)!r},{float(a.imag)!r}"
-
-    lines = [f"dim={frag.dim}"]
-    if frag.exact:
-        lines.append("exact")
-    for i, psi in enumerate(frag.states):
-        pairs = frag.exact_states[i] if frag.exact else None
-        lines.append(
-            "state: " + " ".join(token(psi, pairs, k) for k in range(frag.dim))
-        )
-    for b, basis in enumerate(frag.bases):
-        lines.append("basis:")
-        for k, vec in enumerate(basis):
-            pairs = frag.exact_bases[b][k] if frag.exact else None
-            lines.append(" ".join(token(vec, pairs, j) for j in range(frag.dim)))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +709,6 @@ def fragment_model(
             return rng.choice(_idx, size=m, p=_ws)
 
         return EpistemicState(
-            space=space,
             label=labels[i],
             support=support,
             sampler=sampler,
@@ -762,7 +737,6 @@ def fragment_model(
         prepare_pure=prepare_pure,
         respond=respond,
         declared=declared,
-        dim=fragment.dim,
         default_engine_spec="closed",
     )
 

@@ -102,10 +102,20 @@ class ModelConsistencyError(RuntimeError):
 class OnticSpace:
     """Space of ontic states with a fixed reference measure.
 
-    kind is one of "sphere2" (unit directions, solid-angle measure),
-    "ray" (projective Hilbert space, Haar probability), "composite"
-    (state register times an auxiliary factor, product measure), or
-    "finite" (atom indices 0..n-1, counting measure, reference_mass n).
+    dim is the Hilbert-space dimension of the model's states and
+    measurements, whatever the kind.  kind says what a point is and
+    where, if anywhere, it holds the prepared state:
+
+    * "ray": a unit vector of the Hilbert space under Haar probability;
+      the ontic state is the prepared state itself.
+    * "composite": a tuple batch whose first part is a state register of
+      unit vectors and whose remaining parts are auxiliary, under the
+      product measure; the register holds the prepared state.
+    * "sphere2": a unit direction under the solid-angle measure
+      (reference_mass 4 pi); no register.
+    * "finite": an atom index 0..n-1 under the counting measure
+      (reference_mass n); no register.
+
     reference_sampler(rng, m) draws m points from the normalized
     reference distribution.
     """
@@ -138,16 +148,16 @@ class MeasContext:
 
 @dataclass(frozen=True)
 class EpistemicState:
-    """Distribution over ontic states produced by one preparation.
+    """Distribution over ontic states produced by one preparation, on the
+    preparing model's ontic space.
 
-    Exactly one representation is primary: a density w.r.t. the space's
+    Exactly one representation is primary: a density w.r.t. that space's
     reference measure, or an explicit point-mass list (atoms, weights).
     A sampler and an analytic support predicate are always present.
     split_axes are smoothness hints for sphere quadrature: unit normals
     of circles bounding the support.
     """
 
-    space: OnticSpace
     label: str
     support: object = field(repr=False)
     density: object = field(default=None, repr=False)
@@ -164,16 +174,14 @@ class ResponseFunction:
     core(outcome, batch, sm) -> bools, analytic membership in {xi = 1};
     support(outcome, batch, sm) -> bools, analytic membership in {xi > 0}.
     All three are vectorized over the batch.  split_axes(outcome, sm)
-    returns sphere-quadrature hints where applicable.
-    reads_state_register flags whether evaluate inspects the prepared
-    state stored inside composite ontic states.
+    returns sphere-quadrature hints where applicable.  Whether evaluate
+    can read the prepared state follows from the ontic space's kind.
     """
 
     evaluate: object = field(repr=False)
     core: object = field(repr=False)
     support: object = field(repr=False)
     split_axes: object = field(default=None, repr=False)
-    reads_state_register: bool = False
 
 
 @dataclass(frozen=True)
@@ -219,16 +227,14 @@ class OntologicalModel:
     prepare_pure: object = field(repr=False)
     respond: ResponseFunction = field(repr=False)
     declared: DeclaredProperties = field(repr=False)
-    dim: int
-    # "absent": ontic state carries no prepared-state register (response
-    # cannot read psi); "whole": the ontic state is the prepared state;
-    # "component": a register holds it and replace_state_register swaps it.
-    state_register: str = "absent"
-    replace_state_register: object = field(default=None, repr=False)
     closed_response_mean: object = field(default=None, repr=False)
     prep_tv_closed: object = field(default=None, repr=False)
     default_engine_spec: str = "closed"
     implemented: bool = True
+
+    @property
+    def dim(self) -> int:
+        return self.ontic_space.dim
 
     def check_dim(self, d: int):
         if d != self.dim:
@@ -248,6 +254,12 @@ class OntologicalModel:
 # ---------------------------------------------------------------------------
 # Batch plumbing.  A batch is an (m, ...) array, or a tuple of such arrays
 # for composite spaces; all model callables are vectorized over batches.
+
+
+def register(psi: PureState, m: int) -> np.ndarray:
+    """m rows of psi's amplitudes, the state register of a prepared point
+    mass: a read-only zero-stride view."""
+    return np.broadcast_to(psi.amplitudes, (m, psi.dim))
 
 
 def batch_take(batch, idx):
@@ -329,7 +341,7 @@ def _expect(model, mu: EpistemicState, f, engine, axes, *labels) -> Estimate:
         stderr = 0.0 if isinstance(engine, MonteCarlo) else None
         return Estimate(val, EXACT_TOL, engine.spec, stderr=stderr)
     if isinstance(engine, SphereQuadrature):
-        if mu.space.kind != "sphere2" or mu.density is None:
+        if model.ontic_space.kind != "sphere2" or mu.density is None:
             raise EngineError(
                 f"sphere quadrature cannot integrate {model.name} states"
             )
@@ -657,10 +669,6 @@ class MaxEpistemicResult:
     fractions: tuple
     n_pairs: int
 
-    @property
-    def maximal(self) -> bool:
-        return self.status.value == "confirmed_analytic"
-
 
 def is_maximally_epistemic(model, n_pairs=20, engine=None, seed=None) -> MaxEpistemicResult:
     """Sample non-orthogonal pairs and test overlap fraction = 1.
@@ -965,7 +973,7 @@ def _funcdep_trial(model, seed, t, m):
     phi = random_state(model.dim, g)
     sm = measurement_of(phi)
     batch = model.prepare(psi1).sampler(stream(seed, model.name, "funcdep", t, "lam"), m)
-    swapped = model.replace_state_register(batch, psi2)
+    swapped = (register(psi2, m),) + batch[1:]
     v1 = np.asarray(model.respond.evaluate(phi, batch, sm), dtype=float)
     v2 = np.asarray(model.respond.evaluate(phi, swapped, sm), dtype=float)
     return batch, [(np.abs(v1 - v2) > XI_TOL, lambda i: {
@@ -980,26 +988,25 @@ def _funcdep_trial(model, seed, t, m):
 def functional_dependence_test(model, n_trials=512, seed=None) -> Status:
     """Does the response read the prepared state?
 
-    The positive property is state independence of the response.  Models
-    whose ontic state is the prepared state itself cannot vary one while
-    fixing the other and are reported not_applicable; models with a state
-    register are probed by swapping the register at fixed remaining ontic
-    data, fixed outcome, and fixed measurement.
+    The positive property is state independence of the response, decided
+    by the ontic space's kind.  On a "ray" space the ontic state is the
+    prepared state, which cannot vary while the ontic state is fixed:
+    not_applicable.  On a "composite" space the register is swapped for
+    another state at fixed auxiliary data, outcome and measurement.  Any
+    other kind holds no register, so the response cannot read the state.
     """
     seed = DEFAULT_SEED if seed is None else int(seed)
-    if model.state_register == "absent":
-        note = "response reads only the ontic state and the outcome"
-        if model.respond.reads_state_register:
-            raise ModelConsistencyError(
-                f"model {model.name} declares no state register but its "
-                "response claims to read one"
-            )
-        return Status("confirmed_analytic", n_trials=0, note=note)
-    if model.state_register == "whole":
+    kind = model.ontic_space.kind
+    if kind == "ray":
         return Status(
             "not_applicable", n_trials=0,
             note="ontic state determines the prepared state; it cannot vary "
             "while the ontic state is held fixed",
+        )
+    if kind != "composite":
+        return Status(
+            "confirmed_analytic", n_trials=0,
+            note="response reads only the ontic state and the outcome",
         )
 
     wit, checked = _run_probe("functional_dependence", model, n_trials, seed)

@@ -145,9 +145,6 @@ def format_scalar(s: Surd) -> str:
     return f"{s.p}{'+' if s.q > 0 else '-'}{root}"
 
 
-Ray = tuple  # tuple of Surd, one per coordinate
-
-
 @dataclass(frozen=True)
 class VectorSet:
     """A finite list of distinct rays with exact coordinates."""

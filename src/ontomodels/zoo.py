@@ -44,6 +44,7 @@ from .framework import (
     ResponseFunction,
     UnsupportedDimensionError,
     point_mass_tv,
+    register,
     state_label,
 )
 from .hilbert import PureState, fidelity_rows, state_to_bloch
@@ -56,11 +57,6 @@ class UnknownModelError(ValueError):
 def _haar(rng, m, d):
     v = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _register(psi: PureState, m: int) -> np.ndarray:
-    """m rows of psi's amplitudes: a read-only zero-stride view."""
-    return np.broadcast_to(psi.amplitudes, (m, psi.dim))
 
 
 def _distinct_rows(chi: np.ndarray) -> np.ndarray:
@@ -103,10 +99,9 @@ def make_bb(d: int = 2) -> OntologicalModel:
     def prepare_pure(psi: PureState) -> EpistemicState:
         atoms = psi.amplitudes[None, :].copy()
         return EpistemicState(
-            space=space,
             label=state_label(psi),
             support=lambda batch: fidelity_rows(batch, psi) > 1.0 - XI_TOL,
-            sampler=lambda rng, m: _register(psi, m),
+            sampler=lambda rng, m: register(psi, m),
             point_masses=(atoms, np.array([1.0])),
         )
 
@@ -133,8 +128,6 @@ def make_bb(d: int = 2) -> OntologicalModel:
             preparation_contextual=True,
             psi_dependent_response=True,
         ),
-        dim=d,
-        state_register="whole",
         prep_tv_closed=_decomposition_tv,
         default_engine_spec="closed",
     )
@@ -173,7 +166,6 @@ def make_ks() -> OntologicalModel:
             )
 
         return EpistemicState(
-            space=space,
             label=state_label(psi),
             support=lambda pts: pts @ n > 0.0,
             density=lambda pts: np.clip(pts @ n, 0.0, None) / math.pi,
@@ -208,19 +200,8 @@ def make_ks() -> OntologicalModel:
             preparation_contextual=True,
             psi_dependent_response=False,
         ),
-        dim=2,
-        state_register="absent",
         default_engine_spec="quad:17",
     )
-
-
-# ---------------------------------------------------------------------------
-# Shared by the models whose ontic state is (quantum state, auxiliary part)
-
-
-def _replace_state_register(batch, psi: PureState):
-    """The batch with every stored quantum state replaced by psi."""
-    return _register(psi, batch[0].shape[0]), batch[1]
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +234,9 @@ def make_bell2() -> OntologicalModel:
 
     def prepare_pure(psi: PureState) -> EpistemicState:
         return EpistemicState(
-            space=space,
             label=state_label(psi),
             support=lambda batch: fidelity_rows(batch[0], psi) > 1.0 - XI_TOL,
-            sampler=lambda rng, m: (_register(psi, m), rng.random(m)),
+            sampler=lambda rng, m: (register(psi, m), rng.random(m)),
         )
 
     def decide(phi, batch, sm):
@@ -290,9 +270,6 @@ def make_bell2() -> OntologicalModel:
             preparation_contextual=True,
             psi_dependent_response=True,
         ),
-        dim=2,
-        state_register="component",
-        replace_state_register=_replace_state_register,
         closed_response_mean=closed_response_mean,
         prep_tv_closed=_decomposition_tv,
         default_engine_spec="mc:200000",
@@ -324,10 +301,9 @@ def make_ws(d: int = 3) -> OntologicalModel:
 
     def prepare_pure(psi: PureState) -> EpistemicState:
         return EpistemicState(
-            space=space,
             label=state_label(psi),
             support=lambda batch: fidelity_rows(batch[0], psi) > 1.0 - XI_TOL,
-            sampler=lambda rng, m: (_register(psi, m), gauss(rng, m)),
+            sampler=lambda rng, m: (register(psi, m), gauss(rng, m)),
         )
 
     def winner_index(batch, sm):
@@ -350,7 +326,6 @@ def make_ws(d: int = 3) -> OntologicalModel:
         evaluate=lambda phi, batch, sm: decide(phi, batch, sm).astype(float),
         core=decide,
         support=decide,
-        reads_state_register=True,
     )
 
     return OntologicalModel(
@@ -367,9 +342,6 @@ def make_ws(d: int = 3) -> OntologicalModel:
             preparation_contextual=True,
             psi_dependent_response=True,
         ),
-        dim=d,
-        state_register="component",
-        replace_state_register=_replace_state_register,
         prep_tv_closed=_decomposition_tv,
         default_engine_spec="mc:200000",
     )
@@ -397,7 +369,6 @@ def _stub(name, display, table_type, *declared):
                 evaluate=unavailable, core=unavailable, support=unavailable
             ),
             declared=DeclaredProperties(*declared),
-            dim=dim,
             implemented=False,
         )
 

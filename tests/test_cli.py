@@ -15,6 +15,7 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from ontomodels.cli import (
 from ontomodels.data import fragment_path, vector_path
 from ontomodels.epibound import fragment_rays, parse_fragment
 from ontomodels.rng import DEFAULT_SEED
+from ontomodels.simplex import simplex_solve
 from ontomodels.zoo import get_model
+from test_simplex import _scipy_solve
 
 PERES = str(vector_path("peres33.vec"))
 TRIAD = str(vector_path("triad3.vec"))
@@ -548,6 +551,10 @@ def rotated_states(draw):
     return name, tuple(new_states)
 
 
+# scipy linprog status codes against simplex_solve's
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
 class TestBoundUnderRotatedStates:
     @pytest.fixture(scope="class")
     def unperturbed(self, tmp_path_factory):
@@ -567,10 +574,27 @@ class TestBoundUnderRotatedStates:
         name, new_states = case
         path = tmp_path_factory.mktemp("rot") / f"{name}.frag"
         path.write_text(_with_states(FLOAT_FRAGMENTS[name], dict(new_states)))
-        rc, out, err = run_cli("bound", str(path))
+        solved = []
+
+        def solve(lp, exact=False):
+            res = simplex_solve(lp, exact=exact)
+            solved.append((lp, res))
+            return res
+
+        # mock.patch, not monkeypatch: hypothesis rejects function-scoped
+        # fixtures under @given.
+        with mock.patch("ontomodels.epibound.simplex_solve", solve):
+            rc, out, err = run_cli("bound", str(path))
         if rc == 2:
             assert re.search(r"line \d+", err), err
             return
+        # every LP of the run agrees with the HiGHS reference solver
+        assert solved
+        for lp, res in solved:
+            ref = _scipy_solve(lp)
+            assert res.status == HIGHS_STATUS[ref.status]
+            if ref.status == 0:
+                assert abs(res.value + ref.fun) <= 1e-9
         ref_rc, ref = unperturbed[name]
         body = json.loads(out)["report"]
         assert rc == ref_rc

@@ -18,14 +18,13 @@ from ontomodels.epibound import (
     analyze,
     enumerate_atoms,
     feasibility_max_epistemic,
-    format_fragment,
     fragment_model,
     fragment_rays,
     load_fragment,
     max_overlap_fraction,
     parse_fragment,
 )
-from ontomodels.framework import MeasContext, verify_born
+from ontomodels.framework import MeasContext, functional_dependence_test, verify_born
 from ontomodels.hilbert import PureState, born_probability, complete_basis, random_state
 from ontomodels.ksval import find_valuation, graph_from_edges
 from ontomodels.rng import stream
@@ -291,20 +290,6 @@ class TestParsing:
         for name in sorted(names):
             frag = load_fragment(fragment_path(name))
             assert frag.dim >= 2
-
-    def test_round_trip(self, kcbs):
-        back = parse_fragment(format_fragment(kcbs), name=kcbs.name)
-        assert len(back.states) == len(kcbs.states)
-        for a, b in zip(back.states, kcbs.states):
-            assert a.same_ray(b, atol=1e-12)
-        for ba, bb in zip(back.bases, kcbs.bases):
-            for a, b in zip(ba, bb):
-                assert a.same_ray(b, atol=1e-12)
-
-    def test_exact_round_trip(self, d2):
-        back = parse_fragment(format_fragment(d2))
-        assert back.exact_states == d2.exact_states
-        assert back.exact_bases == d2.exact_bases
 
     @pytest.mark.parametrize(
         "text,fragment_of_message",
@@ -647,6 +632,11 @@ class TestFragmentModel:
         assert model.ontic_space.kind == "finite"
         assert model.ontic_space.reference_mass == 4.0  # one unit per atom
         assert model.dim == 2
+        # A finite space holds no state register: the response cannot read
+        # the prepared state, analytically, without a trial.
+        st = functional_dependence_test(model, seed=3)
+        assert st.value == "confirmed_analytic"
+        assert st.n_trials == 0
 
     def test_sampler_respects_support(self, d2):
         res = feasibility_max_epistemic(d2)

