@@ -46,6 +46,7 @@ from .framework import (
     is_maximally_epistemic,
     ks_om_consistency,
     overlap_fraction,
+    predict_basis,
     predict_probability,
     prep_context_distance,
     replay_witness,
@@ -123,6 +124,7 @@ __all__ = [
     "overlap_fraction",
     "parse_engine",
     "parse_fragment",
+    "predict_basis",
     "predict_probability",
     "prep_context_distance",
     "random_state",

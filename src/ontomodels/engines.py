@@ -13,12 +13,15 @@ ontic space.  Three interchangeable engines evaluate them:
   Its tolerance is 1e-6 at every level, so ``parse_engine`` accepts levels
   from ``QUAD_MIN_LEVEL`` up, the lowest that keeps the hemisphere integrals
   of ``ks`` inside it.
-* ``MonteCarlo`` averages a function over draws from a caller-supplied
-  sampler.  Work is cut into fixed-size blocks, each fed by its own labeled
-  stream, so totals are independent of how the blocks are scheduled and any
-  single sample can be regenerated from (seed, labels, index): sample i is
-  row ``i % MC_BLOCK`` of the batch the sampler draws from
-  ``block_stream(i // MC_BLOCK, *labels)``.
+* ``MonteCarlo`` averages a function, or k functions at once, over draws
+  from a caller-supplied sampler.  Work is cut into fixed-size blocks, each
+  fed by its own labeled stream, so totals are independent of how the
+  blocks are scheduled and any single sample can be regenerated from
+  (seed, labels, index): sample i is row ``i % MC_BLOCK`` of the batch the
+  sampler draws from ``block_stream(i // MC_BLOCK, *labels)``.  A Born
+  prediction draws one batch per measurement basis and scores all its
+  outcomes on it, so sample i of a basis is row ``i % MC_BLOCK`` of the
+  batch from its basis stream, labeled ("predict", model, state, basis).
 
 Which engine evaluates which integral over an epistemic state is decided in
 one place, ``framework._expect``.
@@ -313,26 +316,34 @@ class MonteCarlo:
     def block_stream(self, j: int, *labels) -> np.random.Generator:
         return stream(self.seed, *labels, "block", j)
 
-    def mean(self, sampler, f, *labels) -> Estimate:
+    def mean(self, sampler, f, *labels):
         """Estimate E[f(x)] for x ~ sampler.
 
-        sampler(rng, m) must return a batch of m points; f(batch) must
-        return m values.  Both are expected to be vectorized.
+        sampler(rng, m) must return a batch of m points.  f(batch) returns
+        m values, for one Estimate, or an (m, k) array of k integrands on
+        the same draws, for a tuple of k Estimates.  Both are expected to be
+        vectorized.  Each column is reduced on its own, block by block, with
+        the bits it would have as a 1-D integrand, and a block's values are
+        freed before the next block is drawn.
         """
-        total = 0.0
-        total_sq = 0.0
-        n = 0
+        sums = 0.0  # (k, 2): each column's sum and sum of squares
         for j, m in self.blocks():
             vals = np.asarray(f(sampler(self.block_stream(j, *labels), m)), dtype=float)
-            if vals.shape != (m,):
-                raise EngineError(f"integrand returned shape {vals.shape}, expected ({m},)")
-            total += float(vals.sum())
-            total_sq += float((vals * vals).sum())
-            n += m
-        mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-        stderr = math.sqrt(var / n)
-        return Estimate(mean, 3.0 * stderr, self.spec, stderr=stderr)
+            if vals.ndim not in (1, 2) or vals.shape[0] != m:
+                raise EngineError(
+                    f"integrand returned shape {vals.shape}, expected ({m},) or ({m}, k)"
+                )
+            single = vals.ndim == 1
+            sums = sums + np.array([(c.sum(), (c * c).sum()) for c in vals.reshape(m, -1).T])
+            del vals
+        n = self.n_samples
+        ests = []
+        for total, total_sq in sums.tolist():
+            mean = total / n
+            var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
+            stderr = math.sqrt(var / n)
+            ests.append(Estimate(mean, 3.0 * stderr, self.spec, stderr=stderr))
+        return ests[0] if single else tuple(ests)
 
 
 def sample_sphere(rng: np.random.Generator, m: int) -> np.ndarray:

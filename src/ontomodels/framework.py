@@ -60,6 +60,7 @@ from .hilbert import (
     PureState,
     born_probability,
     complete_basis,
+    fidelity_rows,
     mix,
     random_state,
 )
@@ -176,12 +177,25 @@ class ResponseFunction:
     All three are vectorized over the batch.  split_axes(outcome, sm)
     returns sphere-quadrature hints where applicable.  Whether evaluate
     can read the prepared state follows from the ontic space's kind.
+    evaluate_all(batch, sm), if given, returns the (m, d) values of every
+    outcome of sm in basis order, equal to evaluate column by column.
     """
 
     evaluate: object = field(repr=False)
     core: object = field(repr=False)
     support: object = field(repr=False)
     split_axes: object = field(default=None, repr=False)
+    evaluate_all: object = field(default=None, repr=False)
+
+    def evaluate_basis(self, batch, sm) -> np.ndarray:
+        """(m, d) values of every outcome of sm on one batch:
+        evaluate_all, or evaluate stacked outcome by outcome."""
+        if self.evaluate_all is not None:
+            return self.evaluate_all(batch, sm)
+        return np.stack(
+            [np.asarray(self.evaluate(phi, batch, sm), dtype=float) for phi in sm.payload],
+            axis=1,
+        )
 
 
 @dataclass(frozen=True)
@@ -334,7 +348,8 @@ def _expect(model, mu: EpistemicState, f, engine, axes, *labels) -> Estimate:
     """E_mu[f], the one place an engine is matched to an epistemic state:
     an exact sum over point masses (stderr 0 under Monte Carlo), sphere
     quadrature of f times the density split on ``axes``, or a Monte Carlo
-    mean over the state's sampler on the stream named by ``labels``."""
+    mean over the state's sampler on the stream named by ``labels``, a
+    tuple of estimates when f returns one column per integrand."""
     if mu.point_masses is not None:
         atoms, weights = mu.point_masses
         val = float(weights @ np.asarray(f(atoms), dtype=float))
@@ -353,21 +368,15 @@ def _expect(model, mu: EpistemicState, f, engine, axes, *labels) -> Estimate:
     raise EngineError(f"engine {engine.spec} cannot integrate {model.name} states")
 
 
-def predict_probability(
-    model: OntologicalModel,
-    psi: PureState,
-    phi: PureState,
-    sm: MeasContext | None,
-    engine,
-) -> Estimate:
-    """Response averaged over the epistemic state: the model's prediction
-    for preparing psi and asking for outcome phi."""
-    if psi.dim != phi.dim:
-        raise DimensionMismatchError("prepared and measured dims differ")
-    model.check_dim(psi.dim)
-    if sm is None:
-        sm = measurement_of(phi)
-    mu = model.prepare(psi)
+def outcome_index(phi: PureState, payload) -> int:
+    """Position of the outcome phi in an ordered basis, up to phase."""
+    for i, b in enumerate(payload):
+        if b.dim == phi.dim and fidelity_rows(phi.amplitudes[None, :], b)[0] > 1.0 - XI_TOL:
+            return i
+    raise ValueError("outcome state is not an element of the measurement basis")
+
+
+def _predict_outcome(model, psi, mu, phi, sm, engine) -> Estimate:
     if mu.point_masses is None and isinstance(engine, ClosedForm):
         if model.closed_response_mean is None:
             raise EngineError(
@@ -378,9 +387,49 @@ def predict_probability(
     split = model.respond.split_axes
     axes = tuple(mu.split_axes) + (tuple(split(phi, sm)) if split else ())
     return _expect(
-        model, mu, lambda batch: model.respond.evaluate(phi, batch, sm), engine, axes,
-        "predict", model.name, mu.label, sm.label, state_label(phi),
+        model, mu, lambda batch: model.respond.evaluate(phi, batch, sm), engine, axes
     )
+
+
+def _predict(model, psi, sm, engine, outcomes) -> tuple:
+    """Estimates for the outcomes of sm at the basis positions outcomes.
+
+    Under Monte Carlo a sampled state draws one batch for the whole basis,
+    on the stream ("predict", model, state, basis), and scores all its
+    outcomes on it; every other engine and state integrates only the
+    outcomes asked for, one by one."""
+    if any(b.dim != psi.dim for b in sm.payload):
+        raise DimensionMismatchError("prepared and measured dims differ")
+    mu = model.prepare(psi)
+    if isinstance(engine, MonteCarlo) and mu.point_masses is None:
+        ests = _expect(
+            model, mu, lambda batch: model.respond.evaluate_basis(batch, sm), engine, (),
+            "predict", model.name, mu.label, sm.label,
+        )
+        return tuple(ests[i] for i in outcomes)
+    return tuple(_predict_outcome(model, psi, mu, sm.payload[i], sm, engine) for i in outcomes)
+
+
+def predict_basis(model: OntologicalModel, psi: PureState, sm: MeasContext, engine) -> tuple:
+    """The model's prediction for every outcome of sm after preparing psi,
+    in basis order: the response averaged over the epistemic state."""
+    return _predict(model, psi, sm, engine, range(len(sm.payload)))
+
+
+def predict_probability(
+    model: OntologicalModel,
+    psi: PureState,
+    phi: PureState,
+    sm: MeasContext | None,
+    engine,
+) -> Estimate:
+    """The model's prediction for preparing psi and asking for outcome phi
+    of sm, an element of its basis (by default phi completed to a basis):
+    the matching entry of ``predict_basis``, bit for bit."""
+    if sm is None:
+        sm = measurement_of(phi)
+    (est,) = _predict(model, psi, sm, engine, (outcome_index(phi, sm.payload),))
+    return est
 
 
 @dataclass(frozen=True)
@@ -397,6 +446,24 @@ class PairDeviation:
     @property
     def passed(self) -> bool:
         return self.deviation <= self.tolerance
+
+    def to_jsonable(self) -> dict:
+        """The pair's report row.  A Monte Carlo row adds its standard error
+        and z = (predicted - born) / stderr, null when stderr is 0 (an exact
+        sum over point masses)."""
+        row = {
+            "psi": self.psi_label,
+            "phi": self.phi_label,
+            "basis": self.basis_label,
+            "predicted": self.predicted,
+            "born": self.born,
+            "deviation": self.deviation,
+            "tolerance": self.tolerance,
+        }
+        if self.stderr is not None:
+            row["stderr"] = self.stderr
+            row["z"] = (self.predicted - self.born) / self.stderr if self.stderr else None
+        return row
 
 
 @dataclass(frozen=True)
@@ -421,18 +488,7 @@ class BornReport:
             "n_pairs": self.n_pairs,
             "max_deviation": self.max_deviation,
             "passed": self.passed,
-            "pairs": [
-                {
-                    "psi": d.psi_label,
-                    "phi": d.phi_label,
-                    "basis": d.basis_label,
-                    "predicted": d.predicted,
-                    "born": d.born,
-                    "deviation": d.deviation,
-                    "tolerance": d.tolerance,
-                }
-                for d in self.deviations
-            ],
+            "pairs": [d.to_jsonable() for d in self.deviations],
         }
 
 
@@ -441,8 +497,7 @@ def _born_report(model, pairs, engine) -> BornReport:
     (state, measurement context) pair."""
     devs = []
     for psi, sm in pairs:
-        for phi in sm.payload:
-            est = predict_probability(model, psi, phi, sm, engine)
+        for phi, est in zip(sm.payload, predict_basis(model, psi, sm, engine)):
             target = born_probability(phi, psi)
             devs.append(
                 PairDeviation(

@@ -43,6 +43,7 @@ from .framework import (
     OntologicalModel,
     ResponseFunction,
     UnsupportedDimensionError,
+    outcome_index,
     point_mass_tv,
     register,
     state_label,
@@ -63,13 +64,6 @@ def _distinct_rows(chi: np.ndarray) -> np.ndarray:
     """chi, or its one row when chi is a zero-stride register: products
     with it are then computed once and broadcast over the batch."""
     return chi[:1] if chi.strides[0] == 0 else chi
-
-
-def _find_outcome(phi: PureState, payload) -> int:
-    for i, b in enumerate(payload):
-        if fidelity_rows(phi.amplitudes[None, :], b)[0] > 1.0 - XI_TOL:
-            return i
-    raise ValueError("outcome state is not an element of the measurement basis")
 
 
 def _decomposition_tv(da, db) -> float:
@@ -243,7 +237,7 @@ def make_bell2() -> OntologicalModel:
         chi, x = batch
         b1, b2 = _ordered_pair(sm)
         p1 = fidelity_rows(_distinct_rows(chi), b1)
-        return x < p1 if _find_outcome(phi, (b1, b2)) == 0 else x >= p1
+        return x < p1 if outcome_index(phi, (b1, b2)) == 0 else x >= p1
 
     respond = ResponseFunction(
         evaluate=lambda phi, batch, sm: decide(phi, batch, sm).astype(float),
@@ -254,7 +248,7 @@ def make_bell2() -> OntologicalModel:
     def closed_response_mean(psi, phi, sm):
         b1, b2 = _ordered_pair(sm)
         p1 = float(fidelity_rows(psi.amplitudes[None, :], b1)[0])
-        return p1 if _find_outcome(phi, (b1, b2)) == 0 else 1.0 - p1
+        return p1 if outcome_index(phi, (b1, b2)) == 0 else 1.0 - p1
 
     return OntologicalModel(
         name="bell2",
@@ -307,6 +301,8 @@ def make_ws(d: int = 3) -> OntologicalModel:
         )
 
     def winner_index(batch, sm):
+        if len(sm.payload) != d:
+            raise ValueError("ws measurements are complete ordered bases")
         chi, omega = batch
         basis_h = np.stack([b.amplitudes for b in sm.payload]).conj().T
         a = np.abs(_distinct_rows(chi) @ basis_h)
@@ -317,15 +313,17 @@ def make_ws(d: int = 3) -> OntologicalModel:
         return np.argmax(r, axis=1)  # ties and infinities: lowest index
 
     def decide(phi, batch, sm):
-        if len(sm.payload) != d:
-            raise ValueError("ws measurements are complete ordered bases")
-        i = _find_outcome(phi, sm.payload)
-        return winner_index(batch, sm) == i
+        return winner_index(batch, sm) == outcome_index(phi, sm.payload)
+
+    def evaluate_all(batch, sm):
+        # One argmax scores every outcome: a one-hot row per draw.
+        return (winner_index(batch, sm)[:, None] == np.arange(d)).astype(float)
 
     respond = ResponseFunction(
         evaluate=lambda phi, batch, sm: decide(phi, batch, sm).astype(float),
         core=decide,
         support=decide,
+        evaluate_all=evaluate_all,
     )
 
     return OntologicalModel(
@@ -351,9 +349,9 @@ def make_ws(d: int = 3) -> OntologicalModel:
 # Declared-only stubs and the registry
 
 
-def _stub(name, display, table_type, *declared):
-    """The build(dim) of a declared-only model; declared holds the
-    DeclaredProperties fields in order."""
+def _stub(name, display, table_type, kind, *declared):
+    """The build(dim) of a declared-only model on an ontic space of the
+    given kind; declared holds the DeclaredProperties fields in order."""
 
     def unavailable(*args, **kwargs):
         raise NotImplementedError(f"model {name} ships as a declared-only stub")
@@ -363,7 +361,7 @@ def _stub(name, display, table_type, *declared):
             name=name,
             display_name=display,
             table_type=table_type,
-            ontic_space=OnticSpace(kind="ray", dim=dim, reference_sampler=unavailable),
+            ontic_space=OnticSpace(kind=kind, dim=dim, reference_sampler=unavailable),
             prepare_pure=unavailable,
             respond=ResponseFunction(
                 evaluate=unavailable, core=unavailable, support=unavailable
@@ -381,16 +379,19 @@ _REGISTRY = {
     "bb": (make_bb, None, 2),
     "ks": (lambda d: make_ks(), 2, 2),
     "aaronson": (
-        _stub("aaronson", "Aaronson", "ontic-supplem.", True, False, True, True, True),
+        _stub("aaronson", "Aaronson", "ontic-supplem.", "composite",
+              True, False, True, True, True),
         2, 2,
     ),
     "bell1": (
-        _stub("bell1", "Bell 1st", "ontic-supplem.", False, True, True, True, True),
+        _stub("bell1", "Bell 1st", "ontic-supplem.", "composite",
+              False, True, True, True, True),
         2, 2,
     ),
     "bell2": (lambda d: make_bell2(), 2, 2),
     "aerts": (
-        _stub("aerts", "Aerts", "ontic-complete (d=2)", True, False, False, True, True),
+        _stub("aerts", "Aerts", "ontic-complete (d=2)", "ray",
+              True, False, False, True, True),
         2, 2,
     ),
     "ws": (make_ws, None, 3),

@@ -147,6 +147,30 @@ class TestVerify:
         # one row per sampled outcome: d rows per pair in dimension 3
         assert len(lines) - 1 == 12
 
+    def test_monte_carlo_rows_carry_stderr_and_z(self):
+        rc, rep = run_json(
+            "verify", "--model", "bell2", "--engine", "mc:20000", "--pairs", "3"
+        )
+        assert rc in (0, 1)
+        for row in rep["report"]["pairs"]:
+            assert row["stderr"] > 0
+            z = (row["predicted"] - row["born"]) / row["stderr"]
+            assert row["z"] == pytest.approx(z, rel=1e-9)
+
+    def test_point_mass_rows_under_monte_carlo_have_null_z(self):
+        rc, rep = run_json("verify", "--model", "bb:3", "--engine", "mc:1000", "--pairs", "2")
+        assert rc == 0
+        assert all(row["stderr"] == 0 and row["z"] is None for row in rep["report"]["pairs"])
+
+    @pytest.mark.parametrize("model,engine", [("bb:3", "closed"), ("ks", "quad:17")])
+    def test_deterministic_rows_keep_their_keys(self, model, engine):
+        rc, rep = run_json("verify", "--model", model, "--engine", engine, "--pairs", "2")
+        assert rc == 0
+        for row in rep["report"]["pairs"]:
+            assert sorted(row) == [
+                "basis", "born", "deviation", "phi", "predicted", "psi", "tolerance",
+            ]
+
     def test_pair_count_respected(self):
         rc, rep = run_json(
             "verify", "--model", "bb:3", "--engine", "closed", "--pairs", "7"

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,34 @@ class TestMonteCarlo:
             j, off = divmod(idx, MC_BLOCK)
             again = sample_sphere(mc.block_stream(j, "w"), dict(mc.blocks())[j])
             assert np.array_equal(again[off], drawn[idx])
+
+    def test_columns_reduce_like_one_dimensional_integrands(self):
+        mc = MonteCarlo(2 * MC_BLOCK + 333, seed=6)
+        cols = [
+            lambda p: np.clip(p[:, 2], 0.0, None) ** 1.3, lambda p: p[:, 0], lambda p: p[:, 1] ** 2,
+        ]
+        both = mc.mean(sample_sphere, lambda p: np.stack([f(p) for f in cols], axis=1), "c")
+        for est, f in zip(both, cols):
+            one = mc.mean(sample_sphere, f, "c")
+            assert (est.value, est.stderr, est.tolerance) == (one.value, one.stderr, one.tolerance)
+
+    @pytest.mark.parametrize("shape", [lambda m: (m + 1,), lambda m: (m, 2, 1), lambda m: ()])
+    def test_rejects_integrands_of_the_wrong_shape(self, shape):
+        with pytest.raises(EngineError):
+            MonteCarlo(100, seed=1).mean(sample_sphere, lambda p: np.zeros(shape(len(p))), "x")
+
+    def test_peak_memory_holds_one_block_of_values(self):
+        # Each block's (m, 6) values go before the next block is drawn, so
+        # eight blocks peak no higher than one, give or take a block.
+        def peak(n):
+            tracemalloc.start()
+            try:
+                MonteCarlo(n, seed=1).mean(lambda rng, m: rng.random((m, 6)), lambda x: x, "mem")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * MC_BLOCK) - peak(MC_BLOCK) < MC_BLOCK * 6 * 8
 
     def test_estimate_tolerance_is_three_sigma(self):
         est = MonteCarlo(5_000, seed=2).mean(sample_sphere, lambda p: p[:, 0], "s")

@@ -122,6 +122,32 @@ class TestPredictProbability:
                 make_bell2(), basis_state(2, 0), state(1, 1), None, QUAD
             )
 
+    @pytest.mark.parametrize("name,spec", [
+        ("bb:3", "closed"), ("bb:3", "mc:5000"), ("ks", "quad:17"), ("ks", "mc:5000"),
+        ("bell2", "closed"), ("bell2", "mc:5000"), ("ws:3", "mc:5000"), ("ws:4", "mc:5000"),
+    ])
+    def test_single_prediction_is_its_basis_entry(self, name, spec):
+        def bits(est):
+            return est.value.hex(), est.tolerance.hex(), est.stderr and est.stderr.hex()
+
+        model = get_model(name)
+        g = np.random.default_rng(11)
+        psi = random_state(model.dim, g)
+        sm = fw.measurement_of(random_state(model.dim, g))
+        ests = fw.predict_basis(model, psi, sm, parse_engine(spec, seed=4))
+        assert len(ests) == model.dim
+        for phi, est in zip(sm.payload, ests):
+            one = fw.predict_probability(model, psi, phi, sm, parse_engine(spec, seed=4))
+            assert bits(one) == bits(est)
+
+    @pytest.mark.parametrize("engine", [QUAD, mc(1000)], ids=["quad:17", "mc:1000"])
+    def test_outcome_must_be_in_the_basis(self, engine):
+        sm = fw.measurement_of(basis_state(2, 0))
+        with pytest.raises(ValueError):
+            fw.predict_probability(make_ks(), state(1, 1), state(1, 1j), sm, engine)
+        with pytest.raises(ValueError, match="not an element"):
+            fw.predict_probability(make_ks(), state(1, 1), state(1, 0, 0), sm, engine)
+
     def test_monte_carlo_reports_standard_error(self):
         est = fw.predict_probability(
             make_bell2(), basis_state(2, 0), state(1, 1), None, mc(20_000)
@@ -446,6 +472,18 @@ class TestFunctionalDependence:
     def test_bb_degenerate(self):
         st = fw.functional_dependence_test(make_bb(3), seed=3)
         assert st.value == "not_applicable"
+
+    @pytest.mark.parametrize("name", ["aaronson", "bell1"])
+    def test_ontic_supplemented_stubs_cannot_be_probed(self, name):
+        # Their space is composite, so the probe needs the stub's sampler.
+        model = get_model(name)
+        assert model.ontic_space.kind == "composite"
+        with pytest.raises(NotImplementedError, match="declared-only stub"):
+            fw.functional_dependence_test(model, seed=3)
+
+    def test_ontic_complete_stub_needs_no_probe(self):
+        st = fw.functional_dependence_test(get_model("aerts"), seed=3)
+        assert st.value == "not_applicable" and st.n_trials == 0
 
     @pytest.mark.parametrize("build", [make_bell2, lambda: make_ws(3)], ids=["bell2", "ws:3"])
     def test_register_models_are_functionally_ontic(self, build):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ontomodels import framework as fw
-from ontomodels.engines import parse_engine
+from ontomodels.engines import MC_BLOCK, parse_engine
 from ontomodels.framework import MeasContext, UnsupportedDimensionError
 from ontomodels.hilbert import basis_state, complete_basis, random_state, state
 from ontomodels.rng import stream
@@ -313,6 +313,93 @@ class TestStateRegister:
         basis = (basis_state(2, 0), basis_state(2, 1))
         chi, _ = bell2.prepare(basis[1]).sampler(stream(2, "b2-edge"), 3)
         self._same_decisions(bell2, basis, (chi, np.array([0.0, 0.5, 1.0])))
+
+
+class TestEvaluateAll:
+    """A basis is scored on one batch: ws's evaluate_all has the bits of
+    evaluate stacked outcome by outcome, which is what bell2 uses."""
+
+    @staticmethod
+    def _stacked(model, batch, sm):
+        return np.stack([model.respond.evaluate(phi, batch, sm) for phi in sm.payload], axis=1)
+
+    def _same_as_stacked(self, model, batch, sm):
+        got = model.respond.evaluate_all(batch, sm)
+        want = self._stacked(model, batch, sm)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        return got
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_ws_matches_stacked_evaluate(self, d, seed):
+        ws = make_ws(d)
+        g = np.random.default_rng(seed)
+        psi = random_state(d, g)
+        sm = fw.measurement_of(random_state(d, g))
+        batch = ws.prepare(psi).sampler(stream(seed, "ws-all"), 5_000)
+        vals = self._same_as_stacked(ws, batch, sm)
+        assert np.array_equal(vals.sum(axis=1), np.ones(5_000))
+
+    def test_ws_keeps_the_zero_and_infinite_ratios(self):
+        # Outcome 0 misses the prepared state: a zero auxiliary amplitude
+        # there is 0/0 (ratio 0), one at outcome 1 or 2 is infinite (wins).
+        ws = make_ws(3)
+        chi, omega = ws.prepare(state(0, 0.6, 0.8)).sampler(stream(5, "ws-edge"), 6)
+        omega = omega.copy()
+        omega[0, 0] = omega[1, 1] = omega[2, 2] = 0.0
+        omega[3, :2] = 0.0
+        omega[4, :] = 0.0
+        sm = MeasContext("std", tuple(basis_state(3, k) for k in range(3)))
+        vals = self._same_as_stacked(ws, (chi, omega), sm)
+        assert vals[1, 1] == vals[2, 2] == vals[3, 1] == vals[4, 1] == 1.0
+        assert not vals[:5, 0].any()
+
+    @pytest.mark.parametrize("seed", [3, 8, 12])
+    def test_bell2_basis_rows_hit_one_outcome(self, seed):
+        # bell2 scores a basis with evaluate stacked per outcome; its two
+        # threshold tests are complementary, so each draw hits one outcome.
+        bell2 = make_bell2()
+        g = np.random.default_rng(seed)
+        psi, phi = random_state(2, g), random_state(2, g)
+        chi, x = bell2.prepare(psi).sampler(stream(seed, "b2-all"), 5_000)
+        for basis in ((phi, complete_basis(phi)[1]), (complete_basis(phi)[1], phi)):
+            # x on either threshold itself, and at both ends of [0, 1].
+            p = np.abs(np.array([np.vdot(b.amplitudes, psi.amplitudes) for b in basis])) ** 2
+            xs = np.concatenate([x, p, [0.0, 1.0]])
+            batch = (np.broadcast_to(chi[0], (xs.shape[0], 2)), xs)
+            vals = bell2.respond.evaluate_basis(batch, MeasContext("b", basis))
+            assert np.array_equal(vals.sum(axis=1), np.ones(xs.shape[0]))
+
+    @pytest.mark.parametrize("name", ["bell2", "ws:3", "ws:6"])
+    def test_basis_hit_counts_sum_to_n(self, name):
+        model = get_model(name)
+        n = 70_001
+        g = np.random.default_rng(4)
+        psi = random_state(model.dim, g)
+        sm = fw.measurement_of(random_state(model.dim, g))
+        ests = fw.predict_basis(model, psi, sm, parse_engine(f"mc:{n}", seed=9))
+        hits = [e.value * n for e in ests]
+        assert all(h == round(h) for h in hits)
+        assert sum(round(h) for h in hits) == n
+
+    def test_block_stream_regenerates_a_basis_batch(self):
+        # Sample i of a basis is row i % MC_BLOCK of the batch its sampler
+        # draws from block_stream(i // MC_BLOCK, "predict", model, state, basis).
+        ws = make_ws(3)
+        g = np.random.default_rng(6)
+        psi = random_state(3, g)
+        sm = fw.measurement_of(random_state(3, g))
+        mc = parse_engine(f"mc:{MC_BLOCK + 999}", seed=2)
+        ests = fw.predict_basis(ws, psi, sm, mc)
+        mu = ws.prepare(psi)
+        hits = sum(
+            ws.respond.evaluate_all(
+                mu.sampler(mc.block_stream(j, "predict", ws.name, mu.label, sm.label), m), sm
+            ).sum(axis=0)
+            for j, m in mc.blocks()
+        )
+        assert [e.value for e in ests] == (hits / mc.n_samples).tolist()
 
 
 class TestDeclaredRows:
