@@ -10,6 +10,10 @@ ontic space.  Three interchangeable engines evaluate them:
   pass ``split_axes``, the unit normals of great circles across which the
   integrand is discontinuous or kinked; the rule splits its panels on those
   circles, so piecewise-smooth integrands converge at smooth-integrand rates.
+  An axis names its circle up to sign and length, so repeats are dropped
+  and each circle is built once.  A Born prediction builds one rule per
+  measurement basis, split on the state's circles and every outcome's, and
+  integrates all its outcomes on it.
   Its tolerance is 1e-6 at every level, so ``parse_engine`` accepts levels
   from ``QUAD_MIN_LEVEL`` up, the lowest that keeps the hemisphere integrals
   of ``ks`` inside it.
@@ -137,7 +141,10 @@ class SphereQuadrature:
     variable (absorbing the square-root behavior an arc has where it is
     born), and the azimuth circle is split at the arc boundaries.  Panels
     that end much closer to a pole than their width are cut geometrically
-    toward it (``_graded``).
+    toward it (``_graded``).  Split axes name circles: an axis a is
+    dropped when an earlier kept axis b names its circle, |a x b| <= 1e-12
+    for the unit vectors whichever their signs, so a list with repeats
+    gets the nodes of its distinct circles in first-occurrence order.
     """
 
     tolerance = 1e-6
@@ -152,15 +159,20 @@ class SphereQuadrature:
         return f"quad:{self.level}"
 
     def nodes(self, split_axes=()):
-        """Quadrature points (N, 3) and weights (N,) summing to ~4pi."""
+        """Quadrature points (N, 3) and weights (N,) summing to ~4pi, split
+        on the distinct circles of ``split_axes``."""
         axes = []
         for a in split_axes:
             a = np.asarray(a, dtype=float)
+            if not np.isfinite(a).all():
+                raise EngineError("split axis must be a finite vector")
             n = np.linalg.norm(a)
             if n < 1e-12:
                 raise EngineError("split axis must be a nonzero vector")
             a = a / n
-            axes.append(a / np.linalg.norm(a))
+            a = a / np.linalg.norm(a)
+            if all(np.linalg.norm(np.cross(a, b)) > 1e-12 for b in axes):
+                axes.append(a)
         if not axes:
             return self._smooth_nodes()
         return self._split_nodes(axes)
@@ -280,14 +292,25 @@ class SphereQuadrature:
         basis = np.stack([e1, e2, pole])
         return pts @ basis, w
 
-    def integrate(self, f, split_axes=()) -> float:
-        """Integral of f over the sphere w.r.t. solid angle."""
+    def integrate(self, f, split_axes=()):
+        """Integral of f over the sphere w.r.t. solid angle.
+
+        f(pts) returns N values, for one float, or an (N, k) array of k
+        integrands on the same nodes, for a tuple of k floats.  Each column
+        is reduced on its own contiguous copy, with the bits it would have
+        as a 1-D integrand."""
         pts, w = self.nodes(split_axes)
         vals = np.asarray(f(pts), dtype=float)
-        return float(w @ vals)
+        if vals.ndim == 1:
+            return float(w @ vals)
+        return tuple(float(w @ np.ascontiguousarray(c)) for c in vals.T)
 
-    def estimate(self, f, split_axes=()) -> Estimate:
-        return Estimate(self.integrate(f, split_axes), self.tolerance, self.spec)
+    def estimate(self, f, split_axes=()):
+        """Estimate of the integral, or a tuple of them for (N, k) f."""
+        val = self.integrate(f, split_axes)
+        if isinstance(val, tuple):
+            return tuple(Estimate(v, self.tolerance, self.spec) for v in val)
+        return Estimate(val, self.tolerance, self.spec)
 
 
 class MonteCarlo:

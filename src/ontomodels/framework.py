@@ -348,8 +348,9 @@ def _expect(model, mu: EpistemicState, f, engine, axes, *labels) -> Estimate:
     """E_mu[f], the one place an engine is matched to an epistemic state:
     an exact sum over point masses (stderr 0 under Monte Carlo), sphere
     quadrature of f times the density split on ``axes``, or a Monte Carlo
-    mean over the state's sampler on the stream named by ``labels``, a
-    tuple of estimates when f returns one column per integrand."""
+    mean over the state's sampler on the stream named by ``labels``.  The
+    last two give a tuple of estimates when f returns one column per
+    integrand; quadrature multiplies each column by the density."""
     if mu.point_masses is not None:
         atoms, weights = mu.point_masses
         val = float(weights @ np.asarray(f(atoms), dtype=float))
@@ -360,7 +361,9 @@ def _expect(model, mu: EpistemicState, f, engine, axes, *labels) -> Estimate:
             raise EngineError(
                 f"sphere quadrature cannot integrate {model.name} states"
             )
-        return engine.estimate(lambda pts: f(pts) * mu.density(pts), axes)
+        return engine.estimate(
+            lambda pts: (np.asarray(f(pts), dtype=float).T * mu.density(pts)).T, axes
+        )
     if isinstance(engine, MonteCarlo):
         if mu.sampler is None:
             raise EngineError(f"model {model.name} states expose no sampler")
@@ -377,33 +380,36 @@ def outcome_index(phi: PureState, payload) -> int:
 
 
 def _predict_outcome(model, psi, mu, phi, sm, engine) -> Estimate:
-    if mu.point_masses is None and isinstance(engine, ClosedForm):
+    if mu.point_masses is None:
         if model.closed_response_mean is None:
             raise EngineError(
                 f"model {model.name} has no closed-form response mean"
             )
         return engine.estimate(model.closed_response_mean(psi, phi, sm))
-
-    split = model.respond.split_axes
-    axes = tuple(mu.split_axes) + (tuple(split(phi, sm)) if split else ())
     return _expect(
-        model, mu, lambda batch: model.respond.evaluate(phi, batch, sm), engine, axes
+        model, mu, lambda batch: model.respond.evaluate(phi, batch, sm), engine, ()
     )
 
 
 def _predict(model, psi, sm, engine, outcomes) -> tuple:
     """Estimates for the outcomes of sm at the basis positions outcomes.
 
-    Under Monte Carlo a sampled state draws one batch for the whole basis,
-    on the stream ("predict", model, state, basis), and scores all its
-    outcomes on it; every other engine and state integrates only the
-    outcomes asked for, one by one."""
+    A state without point masses is integrated for the whole basis at
+    once, except in closed form: Monte Carlo draws one batch, on the
+    stream ("predict", model, state, basis), and quadrature builds one
+    rule, split on the state's axes and every outcome's, and both score
+    all outcomes on it.  Closed form and point masses give the outcomes
+    asked for, one by one."""
     if any(b.dim != psi.dim for b in sm.payload):
         raise DimensionMismatchError("prepared and measured dims differ")
     mu = model.prepare(psi)
-    if isinstance(engine, MonteCarlo) and mu.point_masses is None:
+    if not isinstance(engine, ClosedForm) and mu.point_masses is None:
+        split = model.respond.split_axes
+        axes = tuple(mu.split_axes) + (
+            tuple(a for phi in sm.payload for a in split(phi, sm)) if split else ()
+        )
         ests = _expect(
-            model, mu, lambda batch: model.respond.evaluate_basis(batch, sm), engine, (),
+            model, mu, lambda batch: model.respond.evaluate_basis(batch, sm), engine, axes,
             "predict", model.name, mu.label, sm.label,
         )
         return tuple(ests[i] for i in outcomes)

@@ -133,6 +133,29 @@ class TestSphereQuadrature:
         with pytest.raises(EngineError):
             SphereQuadrature(5).nodes(split_axes=(np.zeros(3),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_split_axis(self, bad):
+        with pytest.raises(EngineError, match="finite"):
+            SphereQuadrature(17).nodes(split_axes=(Z, np.array([bad, 0.0, 1.0])))
+
+    @given(
+        st.lists(AXIS, min_size=1, max_size=4),
+        st.data(),
+        st.sampled_from([1.0, -1.0, 0.3, 2.0, 1e-3, 7.5]),
+        st.integers(2, 17),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_circles_are_dropped(self, axes, data, scale, level):
+        # A repeat of an axis names the same circle whatever its sign and
+        # length; inserted anywhere after the axis, it leaves the rule as
+        # it was.
+        i = data.draw(st.integers(0, len(axes) - 1))
+        j = data.draw(st.integers(i + 1, len(axes)))
+        repeated = axes[:j] + [scale * axes[i]] + axes[j:]
+        pts, w = SphereQuadrature(level).nodes(axes)
+        got_pts, got_w = SphereQuadrature(level).nodes(repeated)
+        assert got_pts.tobytes() == pts.tobytes() and got_w.tobytes() == w.tobytes()
+
     def test_split_axes_are_not_modified(self):
         a, b = np.array([3.0, 0.0, 4.0]), np.array([0.0, -2.0, 0.0])
         SphereQuadrature(5).nodes(split_axes=(a, b))
@@ -168,7 +191,12 @@ class TestSphereQuadrature:
 def _loop_split_nodes(level, axes):
     """Reference: the split rule built one latitude row at a time, as
     `SphereQuadrature` did before its node build became array code."""
-    axes = [a / np.linalg.norm(a) for a in (a / np.linalg.norm(a) for a in axes)]
+    kept = []
+    for a in (a / np.linalg.norm(a) for a in (a / np.linalg.norm(a) for a in axes)):
+        # An axis whose great circle a kept axis already names is dropped.
+        if all(np.linalg.norm(np.cross(a, b)) > 1e-12 for b in kept):
+            kept.append(a)
+    axes = kept
     e1, e2, pole = _frame(axes[0])
     others = []
     for a in axes[1:]:
@@ -287,9 +315,10 @@ GOLDEN_NODES = {
     ("mixed", 2): (550, "8d186b56a32bd8d0", "ebefe4d0939dc6c2"),
     ("mixed", 17): (26950, "7e93634538b9f123", "5cf3c95a7a31695e"),
     ("mixed", 33): (98758, "e678cca9ea9c9c89", "ed9bb54a4907aba2"),
-    ("prepctx-ks", 2): (1200, "6263fe88578c3635", "c3db48698da689b5"),
-    ("prepctx-ks", 17): (58800, "24dd5b87eb2b9d24", "b2dfa38c83b93af2"),
-    ("prepctx-ks", 33): (215472, "445b2d797ce52586", "25f3e3b810abdcb3"),
+    # 12 axes naming 4 circles, each built once.
+    ("prepctx-ks", 2): (400, "49604b67d43414ac", "3c4f13b1fa88f860"),
+    ("prepctx-ks", 17): (19600, "5169911fc5c2d51e", "b11f71a23d6a81d3"),
+    ("prepctx-ks", 33): (71824, "91f7c46b1fb224fe", "db4d82b050eba3e1"),
 }
 
 
@@ -306,6 +335,17 @@ def test_sphere_nodes_golden(name, level):
     )
     assert pts.shape == (len(w), 3)
     assert got == GOLDEN_NODES[name, level]
+
+
+@pytest.mark.parametrize("level", [2, 17, 33])
+def test_prepctx_ks_axes_build_their_four_circles(level):
+    # z, x and the two bisectors of the z and x mixtures, each named by
+    # several of the 12 axes, first in the order listed here.
+    axes = _prepctx_ks_axes()
+    distinct = [axes[i] for i in (0, 2, 4, 5)]
+    pts, w = SphereQuadrature(level).nodes(axes)
+    ref_pts, ref_w = SphereQuadrature(level).nodes(distinct)
+    assert pts.tobytes() == ref_pts.tobytes() and w.tobytes() == ref_w.tobytes()
 
 
 class TestMonteCarlo:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ontomodels import framework as fw
-from ontomodels.engines import EngineError, parse_engine
+from ontomodels.engines import EngineError, SphereQuadrature, parse_engine
 from ontomodels.framework import (
     ModelConsistencyError,
     OrthogonalPairError,
@@ -139,6 +139,27 @@ class TestPredictProbability:
         for phi, est in zip(sm.payload, ests):
             one = fw.predict_probability(model, psi, phi, sm, parse_engine(spec, seed=4))
             assert bits(one) == bits(est)
+
+    def test_quadrature_builds_one_rule_per_basis(self):
+        # ks splits on the state's circle and each outcome's; b and -b
+        # name one circle, so the basis rule is outcome 0's rule.
+        calls = []
+
+        class Recorder(SphereQuadrature):
+            def nodes(self, split_axes=()):
+                calls.append(len(split_axes))
+                return super().nodes(split_axes)
+
+        ks = make_ks()
+        g = np.random.default_rng(5)
+        psi = random_state(2, g)
+        sm = fw.measurement_of(random_state(2, g))
+        ests = fw.predict_basis(ks, psi, sm, Recorder(17))
+        assert calls == [3]
+        for phi, est in zip(sm.payload, ests):
+            one = fw.predict_probability(ks, psi, phi, sm, Recorder(17))
+            assert (one.value.hex(), one.tolerance) == (est.value.hex(), est.tolerance)
+        assert calls == [3, 3, 3]
 
     @pytest.mark.parametrize("engine", [QUAD, mc(1000)], ids=["quad:17", "mc:1000"])
     def test_outcome_must_be_in_the_basis(self, engine):
@@ -499,6 +520,14 @@ class TestPrepContext:
         ctx_a, ctx_b = fw.canonical_mix_contexts(2)
         tv = fw.prep_context_distance(ks, mix(ctx_a.payload), ctx_a, ctx_b, QUAD)
         assert tv == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("level", [15, 17, 25, 33])
+    def test_ks_mixture_distance_at_every_level(self, level):
+        ctx_a, ctx_b = fw.canonical_mix_contexts(2)
+        tv = fw.prep_context_distance(
+            make_ks(), mix(ctx_a.payload), ctx_a, ctx_b, parse_engine(f"quad:{level}")
+        )
+        assert abs(tv - (math.sqrt(2.0) - 1.0)) <= 1e-13
 
     def test_same_context_distance_is_zero(self):
         ks = make_ks()
