@@ -120,6 +120,19 @@ class _Tableau:
         self.basis = list(range(self.n_struct, self.width))
         self.obj = None  # set per phase, length width + 1
 
+    def set_phase1_objective(self):
+        """-sum(artificials) priced out against the all-artificial basis:
+        the column sums of the tableau, zero on the artificial columns.
+        Only the structural columns and the last two are summed, each from a
+        view at least two columns wide, which numpy sums row after row as
+        it sums the whole tableau; a lone (m, 1) column is summed pairwise."""
+        zero = self.tol * 0
+        head = max(self.n_struct, 2)
+        self.obj = np.full(self.width + 1, zero, dtype=self.t.dtype)
+        self.obj[:head] = self.t[:, :head].sum(axis=0)
+        self.obj[-2:] = self.t[:, -2:].sum(axis=0)
+        self.obj[self.n_struct:self.width] = zero
+
     def set_objective(self, costs):
         # reduced-cost row for maximization; obj[-1] tracks -(current value)
         self.obj = np.append(costs, costs[0] * 0 if len(costs) else self.tol * 0)
@@ -187,11 +200,8 @@ def simplex_solve(lp: LinearProgram, exact: bool = False) -> LPResult:
     m, n_struct = tab.m, tab.n_struct
     max_iters = 5000 + 200 * (m + n_struct)
 
-    # phase 1: drive the artificial variables to zero.  The objective -sum(a)
-    # priced out against the all-artificial basis is the column sums of the
-    # tableau, zero on the artificial columns themselves.
-    tab.obj = tab.t.sum(axis=0)
-    tab.obj[n_struct:n_struct + m] = tol * 0
+    # phase 1: drive the artificial variables to zero
+    tab.set_phase1_objective()
     status, p1 = tab.run(n_struct + m, max_iters)
     if status != "optimal":  # cannot happen: phase-1 objective is bounded
         raise LPError("phase 1 reported unbounded")

@@ -20,6 +20,12 @@ Four fully implemented models:
 Three more (``aaronson``, ``bell1``, ``aerts``) ship as declared-only stubs
 so summary tables can render every known row; they cannot be executed.
 
+bell2 and ws score every outcome of a basis on one batch (``evaluate_all``):
+bell2 from one threshold test, ws from one ratio argmax.  ws draws its
+Gaussians and scores its ratios CHUNK_ROWS rows at a time, so a Monte Carlo
+block needs no temporary of its own size; the bits are those of the
+whole-batch computation.
+
 Boundary conventions (all measure zero, chosen to make every response a
 total function): hemisphere membership is strict; the bell2 threshold
 resolves x = p toward the second outcome; ws ratio ties resolve to the
@@ -58,6 +64,21 @@ class UnknownModelError(ValueError):
 def _haar(rng, m, d):
     v = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+# Rows per chunk of a ws batch: 393 KB of complex amplitudes at d = 6, so a
+# chunk's products and ratios stay in the L2 cache.
+CHUNK_ROWS = 4096
+
+
+def _chunks(m: int):
+    """Row slices covering a batch of m rows, CHUNK_ROWS at a time.  A lone
+    last row joins the chunk before it: numpy multiplies a one-row matrix
+    by gemv, whose bits can differ from the gemm rows of a whole batch."""
+    starts = list(range(0, m, CHUNK_ROWS))
+    if m > 1 and m % CHUNK_ROWS == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
 
 
 def _distinct_rows(chi: np.ndarray) -> np.ndarray:
@@ -239,10 +260,23 @@ def make_bell2() -> OntologicalModel:
         p1 = fidelity_rows(_distinct_rows(chi), b1)
         return x < p1 if outcome_index(phi, (b1, b2)) == 0 else x >= p1
 
+    def evaluate_all(batch, sm):
+        # One threshold test scores both outcomes, each column placed as
+        # decide places it; the transpose keeps each column contiguous.
+        chi, x = batch
+        b1, b2 = _ordered_pair(sm)
+        p1 = fidelity_rows(_distinct_rows(chi), b1)
+        out = np.empty((2, x.shape[0]))
+        first, second = x < p1, x >= p1
+        for row, phi in zip(out, sm.payload):
+            row[...] = first if outcome_index(phi, (b1, b2)) == 0 else second
+        return out.T
+
     respond = ResponseFunction(
         evaluate=lambda phi, batch, sm: decide(phi, batch, sm).astype(float),
         core=decide,
         support=decide,
+        evaluate_all=evaluate_all,
     )
 
     def closed_response_mean(psi, phi, sm):
@@ -280,11 +314,17 @@ def make_ws(d: int = 3) -> OntologicalModel:
 
     def gauss(rng, m):
         # Bit for bit (normal + 1j * normal) / sqrt(2): numpy divides a
-        # complex array by a real scalar as a multiplication by 1 / c.
+        # complex array by a real scalar as a multiplication by 1 / c, and
+        # normal(0, 1) is 0 + 1 * standard_normal.  The real parts are
+        # drawn first, then the imaginary parts, a chunk at a time into one
+        # reused buffer, which consumes the stream as one draw would.
         out = np.empty((m, d), dtype=complex)
-        out.real = rng.normal(size=(m, d))
-        out.imag = rng.normal(size=(m, d))
-        out.view(float)[...] *= 1.0 / math.sqrt(2.0)
+        buf = np.empty((min(m, CHUNK_ROWS + 1), d))  # the largest chunk
+        for part in (out.real, out.imag):
+            for rows in _chunks(m):
+                z = buf[: rows.stop - rows.start]
+                rng.standard_normal(out=z)
+                np.multiply(z, 1.0 / math.sqrt(2.0), out=part[rows])
         return out
 
     space = OnticSpace(
@@ -305,19 +345,23 @@ def make_ws(d: int = 3) -> OntologicalModel:
             raise ValueError("ws measurements are complete ordered bases")
         chi, omega = batch
         basis_h = np.stack([b.amplitudes for b in sm.payload]).conj().T
-        a = np.abs(_distinct_rows(chi) @ basis_h)
-        r = np.abs(omega @ basis_h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(a, r, out=r)
-        r[np.isnan(r)] = 0.0  # 0/0 counts as ratio 0
-        return np.argmax(r, axis=1)  # ties and infinities: lowest index
+        win = np.empty(omega.shape[0], dtype=np.intp)
+        for rows in _chunks(omega.shape[0]):
+            a = np.abs(_distinct_rows(chi[rows]) @ basis_h)
+            r = np.abs(omega[rows] @ basis_h)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(a, r, out=r)
+            r[np.isnan(r)] = 0.0  # 0/0 counts as ratio 0
+            np.argmax(r, axis=1, out=win[rows])  # ties and infinities: lowest index
+        return win
 
     def decide(phi, batch, sm):
         return winner_index(batch, sm) == outcome_index(phi, sm.payload)
 
     def evaluate_all(batch, sm):
-        # One argmax scores every outcome: a one-hot row per draw.
-        return (winner_index(batch, sm)[:, None] == np.arange(d)).astype(float)
+        # One argmax scores every outcome: a one-hot row per draw, the
+        # transpose of a (d, m) array so each outcome's column is contiguous.
+        return (np.arange(d)[:, None] == winner_index(batch, sm)).astype(float).T
 
     respond = ResponseFunction(
         evaluate=lambda phi, batch, sm: decide(phi, batch, sm).astype(float),

@@ -257,6 +257,35 @@ def test_phase1_column_sums_match_priced_out_objective(exact):
 
 
 @pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 60])
+@pytest.mark.parametrize("m", [1, 2, 9, 200])
+def test_phase1_objective_has_the_bits_of_the_full_column_sums(m, n, exact):
+    # The phase-1 row sums only the structural and rhs columns; it must
+    # equal the sums of the whole tableau with the artificial block zeroed.
+    # Full-mantissa floats over eight decades make float sums depend on
+    # their order, so a pairwise sum of a lone column would show.
+    rng = np.random.default_rng(m * 100 + n)
+    tol = Fraction(0) if exact else FEAS_TOL
+    for _ in range(5):
+        if exact:
+            a = _array(rng.integers(-999, 1000, size=(m, n)).tolist(), True) / 7
+            b = _array(rng.integers(0, 1000, size=m).tolist(), True) / 3
+        else:
+            a = rng.uniform(-1, 1, size=(m, n)) * 10.0 ** rng.uniform(-4, 4, size=(m, n))
+            b = rng.random(m) * 10.0 ** rng.uniform(-4, 4, size=m)
+        tab = _Tableau(a, b, tol)
+        want = tab.t.sum(axis=0)
+        want[n:n + m] = tol * 0
+        tab.set_phase1_objective()
+        assert tab.obj.dtype == want.dtype and tab.obj.shape == want.shape
+        if exact:
+            assert tab.obj.tolist() == want.tolist()
+            assert all(type(v) is Fraction for v in tab.obj.tolist())
+        else:
+            assert np.array_equal(tab.obj.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("exact", [False, True])
 def test_results_hold_plain_python_numbers(exact):
     scalar = Fraction if exact else float
     lp = LinearProgram(2, [1, 1])

@@ -1,16 +1,25 @@
 """Concrete models: pinned examples, declared rows, registry."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ontomodels import framework as fw
+from ontomodels import zoo
 from ontomodels.engines import MC_BLOCK, parse_engine
 from ontomodels.framework import MeasContext, UnsupportedDimensionError
-from ontomodels.hilbert import basis_state, complete_basis, random_state, state
+from ontomodels.hilbert import (
+    basis_state,
+    complete_basis,
+    fidelity_rows,
+    random_state,
+    state,
+)
 from ontomodels.rng import stream
 from ontomodels.zoo import (
+    CHUNK_ROWS,
     TABLE_ORDER,
     UnknownModelError,
     get_model,
@@ -316,8 +325,9 @@ class TestStateRegister:
 
 
 class TestEvaluateAll:
-    """A basis is scored on one batch: ws's evaluate_all has the bits of
-    evaluate stacked outcome by outcome, which is what bell2 uses."""
+    """A basis is scored on one batch: the evaluate_all of ws (one argmax)
+    and of bell2 (one threshold test) have the bits of evaluate stacked
+    outcome by outcome."""
 
     @staticmethod
     def _stacked(model, batch, sm):
@@ -371,6 +381,25 @@ class TestEvaluateAll:
             vals = bell2.respond.evaluate_basis(batch, MeasContext("b", basis))
             assert np.array_equal(vals.sum(axis=1), np.ones(xs.shape[0]))
 
+    @pytest.mark.parametrize("seed", [3, 8, 12])
+    def test_bell2_matches_stacked_evaluate(self, seed):
+        bell2 = make_bell2()
+        g = np.random.default_rng(seed)
+        psi, phi = random_state(2, g), random_state(2, g)
+        chi, x = bell2.prepare(psi).sampler(stream(seed, "b2-all"), 5_000)
+        full, y = bell2.ontic_space.reference_sampler(stream(seed, "b2-ref"), 5_000)
+        for basis in ((phi, complete_basis(phi)[1]), (complete_basis(phi)[1], phi)):
+            sm = MeasContext("b", basis)
+            # x exactly on either threshold, and at both ends of [0, 1].
+            p = np.concatenate([fidelity_rows(chi[:1], b) for b in basis])
+            xs = np.concatenate([x, p, [0.0, 1.0]])
+            self._same_as_stacked(bell2, (np.broadcast_to(chi[0], (xs.shape[0], 2)), xs), sm)
+            ys = y.copy()
+            ys[:100] = fidelity_rows(full[:100], basis[0])
+            ys[100:200] = fidelity_rows(full[100:200], basis[1])
+            ys[200], ys[201] = 0.0, 1.0
+            self._same_as_stacked(bell2, (full, ys), sm)
+
     @pytest.mark.parametrize("name", ["bell2", "ws:3", "ws:6"])
     def test_basis_hit_counts_sum_to_n(self, name):
         model = get_model(name)
@@ -400,6 +429,113 @@ class TestEvaluateAll:
             for j, m in mc.blocks()
         )
         assert [e.value for e in ests] == (hits / mc.n_samples).tolist()
+
+
+def _whole_block_winners(chi, omega, basis):
+    """The ws scorer on a whole batch at once: the ratio argmax with 0/0
+    as 0, and the products |omega @ basis_h| it ranks."""
+    basis_h = np.stack([b.amplitudes for b in basis]).conj().T
+    a = np.abs((chi[:1] if chi.strides[0] == 0 else chi) @ basis_h)
+    prod = np.abs(omega @ basis_h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = a / prod
+    r[np.isnan(r)] = 0.0
+    return np.argmax(r, axis=1), prod
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestChunkedBlock:
+    """ws draws and scores a block CHUNK_ROWS rows at a time, with the bits
+    of drawing and scoring the whole block at once."""
+
+    # CHUNK_ROWS + 1 and 2 * CHUNK_ROWS + 1 end in a lone row, which joins
+    # the chunk before it.
+    SIZES = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1,
+             2 * CHUNK_ROWS + 3, MC_BLOCK]
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    @pytest.mark.parametrize("m", SIZES)
+    def test_gauss_matches_one_draw_per_half(self, m, d):
+        psi = random_state(d, np.random.default_rng(d))
+        rng = stream(m, d, "chunked-gauss")
+        _, omega = make_ws(d).prepare(psi).sampler(rng, m)
+        g = stream(m, d, "chunked-gauss")
+        ref = (g.normal(size=(m, d)) + 1j * g.normal(size=(m, d))) / math.sqrt(2.0)
+        assert np.array_equal(_bits(omega), _bits(ref))
+        assert rng.random() == g.random()  # the stream is left where one draw leaves it
+
+    @pytest.mark.parametrize("register", [True, False], ids=["register", "full"])
+    @pytest.mark.parametrize("d", range(2, 8))
+    @pytest.mark.parametrize("m", SIZES)
+    def test_scorer_matches_the_whole_block(self, m, d, register):
+        ws = make_ws(d)
+        g = np.random.default_rng(m + d)
+        psi = random_state(d, g)
+        sm = fw.measurement_of(random_state(d, g))
+        if register:
+            batch = ws.prepare(psi).sampler(stream(m, d, "chunked"), m)
+        else:
+            batch = ws.ontic_space.reference_sampler(stream(m, d, "chunked"), m)
+        chi, omega = batch
+        win, prod = _whole_block_winners(chi, omega, sm.payload)
+        basis_h = np.stack([b.amplitudes for b in sm.payload]).conj().T
+        rows = zoo._chunks(m)
+        assert rows[0].start == 0 and rows[-1].stop == m
+        assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+        assert all(len(range(m)[r]) <= CHUNK_ROWS + 1 for r in rows)
+        chunked = np.concatenate([np.abs(omega[r] @ basis_h) for r in rows])
+        assert np.array_equal(_bits(chunked), _bits(prod))
+        vals = ws.respond.evaluate_all(batch, sm)
+        want = (win[:, None] == np.arange(d)).astype(float)
+        assert vals.shape == want.shape and np.array_equal(_bits(vals), _bits(want))
+        assert all(vals[:, k].flags.c_contiguous for k in range(d))
+
+    @pytest.mark.parametrize("register", [True, False], ids=["register", "full"])
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_zero_and_infinite_ratios_on_both_sides_of_a_boundary(self, d, register):
+        # The prepared state misses outcome 0: a zero auxiliary amplitude
+        # there is 0/0 (ratio 0), one elsewhere is infinite and wins.
+        ws = make_ws(d)
+        m = 2 * CHUNK_ROWS + 3
+        chi, omega = ws.prepare(state(0, *range(1, d))).sampler(stream(d, "chunk-edge"), m)
+        if not register:
+            chi = np.tile(chi[0], (m, 1))
+        omega = omega.copy()
+        c = CHUNK_ROWS
+        omega[c - 1, 0] = omega[c, 0] = 0.0
+        omega[c - 1, d - 1] = omega[2 * c - 1, :] = 0.0
+        omega[c, 1] = omega[2 * c, 1:] = 0.0
+        sm = MeasContext("std", tuple(basis_state(d, k) for k in range(d)))
+        vals = ws.respond.evaluate_all((chi, omega), sm)
+        win, _ = _whole_block_winners(chi, omega, sm.payload)
+        assert np.array_equal(_bits(vals), _bits((win[:, None] == np.arange(d)).astype(float)))
+        assert win[c - 1] == d - 1 and win[c] == 1 and win[2 * c - 1] == 1 and win[2 * c] == 1
+        assert not vals[:, 0].any()
+
+    def test_a_block_needs_chunk_sized_temporaries(self):
+        # tracemalloc sees numpy's data buffers.  Drawing a ws:6 block needs
+        # its own bytes plus one chunk buffer; scoring it needs its values
+        # and one winner per row, not block-sized products and ratios.
+        ws = make_ws(6)
+        g = np.random.default_rng(2)
+        mu = ws.prepare(random_state(6, g))
+        sm = fw.measurement_of(random_state(6, g))
+        rng = stream(2, "block-memory")
+        tracemalloc.start()
+        try:
+            batch = mu.sampler(rng, MC_BLOCK)
+            draw_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            vals = ws.respond.evaluate_basis(batch, sm)
+            eval_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert draw_peak < batch[1].nbytes + CHUNK_ROWS * 6 * 8 + 0.5e6
+        assert eval_peak < vals.nbytes + MC_BLOCK * np.dtype(np.intp).itemsize + 1e6
 
 
 class TestDeclaredRows:
