@@ -9,10 +9,11 @@ feasibility tolerance, in exact mode every entry is a Fraction and the
 tolerance is zero.
 
 The tableau is one 2-D numpy array: float64 in float mode, an object
-array of Fractions in exact mode.  A pivot is a rank-1 update of the rows
-whose pivot-column entry is nonzero, each entry computed as a - f*b in
-two rounded operations, so the float path takes the same pivots with the
-same bits as an entry-by-entry loop would.
+array of Fractions in exact mode.  A pivot is a rank-1 update, each entry
+a - f*b in two rounded operations, of the rows whose pivot-column entry is
+nonzero, over the columns whose pivot-row entry is nonzero plus the first
+and rhs columns (x takes the signs of its zeros from those two), so it
+takes the same pivots and returns the same bits as a full update.
 """
 
 from __future__ import annotations
@@ -148,8 +149,10 @@ class _Tableau:
         self.t[r] = row = self.t[r] / self.t[r, c]
         col = self.t[:, c]
         nz = np.flatnonzero(col)
-        nz = nz[nz != r]
-        self.t[nz] = self.t[nz] - np.multiply.outer(col[nz], row)
+        keep = row != 0  # a - f*0 is a, up to the sign of a zero, which
+        keep[[0, -1]] = True  # x reads from column 0 and the rhs
+        i, j = np.ix_(nz[nz != r], np.flatnonzero(keep))
+        self.t[i, j] = self.t[i, j] - col[i] * row[j]
         f = self.obj[c]
         if f:
             self.obj = self.obj - f * row

@@ -2,11 +2,15 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
+from ontomodels import simplex
 from ontomodels.simplex import (
     FEAS_TOL,
     LinearProgram,
@@ -330,6 +334,129 @@ def test_zero_optimum_is_positive_zero():
         res = simplex_solve(lp)
         assert res.status == "optimal"
         assert math.copysign(1.0, res.value) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The pivot skips the entries a full rank-1 update would leave equal
+
+
+class _DenseTableau(_Tableau):
+    """The tableau with a full rank-1 update of every row with a nonzero
+    pivot-column entry, over every column."""
+
+    def pivot(self, r, c):
+        self.t[r] = row = self.t[r] / self.t[r, c]
+        col = self.t[:, c]
+        nz = np.flatnonzero(col)
+        nz = nz[nz != r]
+        self.t[nz] = self.t[nz] - np.multiply.outer(col[nz], row)
+        f = self.obj[c]
+        if f:
+            self.obj = self.obj - f * row
+        self.basis[r] = c
+
+
+# -0.0 stays -0.0 in float mode and becomes Fraction(0) in exact mode
+_values = st.sampled_from(
+    [0, 0, -0.0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)]
+)
+
+
+@st.composite
+def _lp_data(draw):
+    """(n, objective, [(is_eq, coeffs, rhs)]) with many zeros, negative
+    right-hand sides, and repeated or zero-rhs rows to make them degenerate."""
+    n = draw(st.integers(1, 5))
+    vector = st.lists(_values, min_size=n, max_size=n)
+    rows = draw(st.lists(st.tuples(st.booleans(), vector, _values), max_size=8))
+    if rows and draw(st.booleans()):
+        is_eq, coeffs, rhs = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.append((is_eq, coeffs, draw(st.sampled_from([rhs, 0]))))
+    return n, draw(vector), rows
+
+
+def _build(data, exact):
+    num = Fraction if exact else float
+    n, objective, rows = data
+    lp = LinearProgram(n, [num(v) for v in objective])
+    for is_eq, coeffs, rhs in rows:
+        (lp.add_eq if is_eq else lp.add_ub)([num(v) for v in coeffs], num(rhs))
+    return lp
+
+
+def _bits(v):
+    """A float by its hex (the sign of a zero included), a Fraction with
+    its type, tuples entry by entry."""
+    if isinstance(v, tuple):
+        return tuple(_bits(u) for u in v)
+    if isinstance(v, float):
+        return v.hex()
+    return v if v is None else (type(v), v)
+
+
+def _solve_bits(lp, exact, tableau):
+    with mock.patch.object(simplex, "_Tableau", tableau):
+        res = simplex_solve(lp, exact=exact)
+    return (res.status, _bits(res.value), _bits(res.x), _bits(res.farkas),
+            res.certificate_ok, res.pivots)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@settings(max_examples=400, deadline=None)
+@given(data=_lp_data())
+def test_solve_has_the_bits_of_the_full_update(exact, data):
+    lp = _build(data, exact)
+    assert _solve_bits(lp, exact, _Tableau) == _solve_bits(lp, exact, _DenseTableau)
+
+
+def _identical(x, y):
+    """The same objects in object arrays, the same bits in float arrays."""
+    if x.dtype == object:
+        return all(u is v for u, v in zip(x.ravel().tolist(), y.ravel().tolist()))
+    bits = [np.ascontiguousarray(z).view(np.uint64) for z in (x, y)]
+    return np.array_equal(*bits)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_pivot_leaves_zero_row_columns_and_zero_column_rows_untouched(exact):
+    rng = np.random.default_rng(17)
+    tol = Fraction(0) if exact else FEAS_TOL
+    structural = 0
+    for _ in range(60):
+        m, n = (int(k) for k in rng.integers(1, 12, size=2))
+        a = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.4)
+        b = rng.integers(0, 4, size=m) * (rng.random(m) < 0.5)
+        if exact:
+            a, b = _array(a.tolist(), True) / 3, _array(b.tolist(), True) / 2
+        else:
+            # -0.0 among the zeros, as _standardize leaves in negated rows
+            a, b = a / 3, b / 2
+            a[(a == 0) & (rng.random((m, n)) < 0.5)] = -0.0
+            b[(b == 0) & (rng.random(m) < 0.5)] = -0.0
+        tab, dense = _Tableau(a, b, tol), _DenseTableau(a, b, tol)
+        r = int(rng.integers(m))
+        c = int(rng.choice(np.flatnonzero(tab.t[r, :n + m])))
+        structural += c < n
+        before = tab.t.copy()  # in exact mode, the same Fraction objects
+        for t in (tab, dense):
+            t.set_phase1_objective()
+            t.pivot(r, c)
+        others = np.arange(m) != r
+        # the rows with a zero pivot-column entry are not touched at all
+        for i in np.flatnonzero(others & (before[:, c] == 0)):
+            assert _identical(tab.t[i], before[i])
+        # nor, in the other rows, the columns where the pivot row is zero,
+        # but for column 0 and the rhs, which x reads the signs of zeros from
+        for j in range(1, n + m):
+            if not tab.t[r, j]:
+                assert _identical(tab.t[others, j], before[others, j])
+        # every entry has the value of the full update, column 0 and the
+        # rhs its bits; elsewhere only a zero's sign may differ
+        assert tab.t.tolist() == dense.t.tolist()
+        if not exact:
+            assert _identical(tab.t[:, [0, -1]], dense.t[:, [0, -1]])
+            assert _identical(tab.obj, dense.obj)
+    assert structural > 20
 
 
 # ---------------------------------------------------------------------------
