@@ -399,12 +399,12 @@ class _AtomTable:
         variables whose atom answers r with 1 (all of them if r is None).
         Weight variables start at column ``first``."""
         state, atom = np.nonzero(self.admissible)
+        ids = np.array([i for i, _ in cells], dtype=int)
+        # ray -1 reads an appended all-ones column, the answer for r = None
+        rays = np.array([-1 if r is None else r for _, r in cells], dtype=int)
+        val = np.hstack([self.val[atom], np.ones((len(atom), 1), dtype=int)])
         out = np.zeros((len(cells), first + len(atom)), dtype=int)
-        for row, (i, r) in zip(out, cells):
-            hit = state == i
-            if r is not None:
-                hit &= self.val[atom, r] == 1
-            row[first:] = hit
+        out[:, first:] = (state == ids[:, None]) & (val[:, rays].T == 1)
         return out
 
     def weights(self, x, exact: bool) -> np.ndarray:

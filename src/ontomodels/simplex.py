@@ -8,12 +8,20 @@ re-checks by direct arithmetic; in float mode all comparisons use a
 feasibility tolerance, in exact mode every entry is a Fraction and the
 tolerance is zero.
 
+Phase 1 starts from the slack basis.  A <= row whose right-hand side is
+nonnegative starts on its own slack; only equality rows and <= rows that
+were negated to make b >= 0 get an artificial column, and phase 1 drives
+those to zero.  On infeasibility, a row's Farkas multiplier is read from
+the final reduced cost of its start column: -1 - obj on an artificial,
+-obj on a slack, negated again for a negated row.
+
 The tableau is one 2-D numpy array: float64 in float mode, an object
 array of Fractions in exact mode.  A pivot is a rank-1 update, each entry
 a - f*b in two rounded operations, of the rows whose pivot-column entry is
-nonzero, over the columns whose pivot-row entry is nonzero plus the first
-and rhs columns (x takes the signs of its zeros from those two), so it
-takes the same pivots and returns the same bits as a full update.
+nonzero, over the columns whose pivot-row entry is nonzero plus the rhs
+column (x takes the signs of its basic zeros from it; nonbasic entries are
++0.0), so it takes the same pivots and returns the same bits as a full
+update.
 """
 
 from __future__ import annotations
@@ -98,40 +106,55 @@ def _rows(lp: LinearProgram, exact):
 
 
 def _standardize(lp: LinearProgram, exact):
-    """All rows as equalities with slacks, b >= 0; returns (A, b, flips)."""
+    """All rows as equalities with slacks, b >= 0; returns (A, b, flips,
+    start).  start[i] is the slack column of a <= row that kept b >= 0,
+    which starts basic, and -1 for an eq row or a negated row."""
     a, b = _rows(lp, exact)
-    slack = np.eye(len(b), len(lp.ub_rows), -len(lp.eq_rows), dtype=int)
+    n_eq = len(lp.eq_rows)
+    slack = np.eye(len(b), len(lp.ub_rows), -n_eq, dtype=int)
     a = np.hstack([a, _array([0, 1], exact)[slack]])
     neg = b < 0
     a[neg] = -a[neg]
     b[neg] = -b[neg]
-    return a, b, np.where(neg, -1, 1)
+    row = np.arange(len(b))
+    start = np.where(neg | (row < n_eq), -1, lp.n_vars - n_eq + row)
+    return a, b, np.where(neg, -1, 1), start
 
 
 class _Tableau:
-    def __init__(self, a, b, tol):
+    def __init__(self, a, b, tol, start):
+        """start[i] is row i's basic slack column, or -1 for an artificial."""
         self.m, self.n_struct = a.shape  # structural columns: vars + slacks
         self.tol = tol
-        # columns: structural, then one artificial per row, then rhs
-        self.width = self.n_struct + self.m
+        # columns: structural, then one artificial per row without a slack
+        # in the start basis, then rhs
+        start = np.array(start, dtype=int)
+        self.art_rows = np.flatnonzero(start < 0)
+        k = len(self.art_rows)
+        self.width = self.n_struct + k
         zero = b * 0
-        art = np.repeat(zero[:, None], self.m, axis=1)
-        np.fill_diagonal(art, zero + 1)
+        art = np.repeat(zero[:, None], k, axis=1)
+        art[self.art_rows, np.arange(k)] = zero[self.art_rows] + 1
         self.t = np.hstack([a, art, b[:, None]])
-        self.basis = list(range(self.n_struct, self.width))
+        start[self.art_rows] = np.arange(self.n_struct, self.width)
+        self.start = start  # the start basis, kept for the Farkas vector
+        self.basis = start.tolist()
         self.obj = None  # set per phase, length width + 1
 
     def set_phase1_objective(self):
-        """-sum(artificials) priced out against the all-artificial basis:
-        the column sums of the tableau, zero on the artificial columns.
+        """-sum(artificials) priced out against the start basis: the column
+        sums of the artificial rows, zero on the artificial columns.
         Only the structural columns and the last two are summed, each from a
         view at least two columns wide, which numpy sums row after row as
         it sums the whole tableau; a lone (m, 1) column is summed pairwise."""
         zero = self.tol * 0
-        head = max(self.n_struct, 2)
         self.obj = np.full(self.width + 1, zero, dtype=self.t.dtype)
-        self.obj[:head] = self.t[:, :head].sum(axis=0)
-        self.obj[-2:] = self.t[:, -2:].sum(axis=0)
+        if not self.art_rows.size:
+            return  # the slack basis is feasible: nothing to drive out
+        rows = self.t if len(self.art_rows) == self.m else self.t[self.art_rows]
+        head = max(self.n_struct, 2)
+        self.obj[:head] = rows[:, :head].sum(axis=0)
+        self.obj[-2:] = rows[:, -2:].sum(axis=0)
         self.obj[self.n_struct:self.width] = zero
 
     def set_objective(self, costs):
@@ -150,7 +173,7 @@ class _Tableau:
         col = self.t[:, c]
         nz = np.flatnonzero(col)
         keep = row != 0  # a - f*0 is a, up to the sign of a zero, which
-        keep[[0, -1]] = True  # x reads from column 0 and the rhs
+        keep[-1] = True  # x reads from the rhs
         i, j = np.ix_(nz[nz != r], np.flatnonzero(keep))
         self.t[i, j] = self.t[i, j] - col[i] * row[j]
         f = self.obj[c]
@@ -187,7 +210,7 @@ class _Tableau:
         raise LPError("simplex iteration limit exceeded")
 
     def solution(self, n_vars):
-        x = np.full(self.n_struct, self.obj[0] * 0, dtype=self.t.dtype)
+        x = np.full(self.n_struct, self.tol * 0, dtype=self.t.dtype)
         basis = np.array(self.basis, dtype=int)
         basic = basis < self.n_struct
         x[basis[basic]] = self.t[basic, -1]
@@ -197,20 +220,22 @@ class _Tableau:
 def simplex_solve(lp: LinearProgram, exact: bool = False) -> LPResult:
     """Two-phase simplex; in exact mode all arithmetic is over Fractions."""
     tol = Fraction(0) if exact else FEAS_TOL
-    a, b, flips = _standardize(lp, exact)
-    tab = _Tableau(a, b, tol)
+    a, b, flips, start = _standardize(lp, exact)
+    tab = _Tableau(a, b, tol, start)
     n = lp.n_vars
     m, n_struct = tab.m, tab.n_struct
     max_iters = 5000 + 200 * (m + n_struct)
 
     # phase 1: drive the artificial variables to zero
     tab.set_phase1_objective()
-    status, p1 = tab.run(n_struct + m, max_iters)
+    status, p1 = tab.run(tab.width, max_iters)
     if status != "optimal":  # cannot happen: phase-1 objective is bounded
         raise LPError("phase 1 reported unbounded")
     if tab.value() < -tol:
-        # infeasible: extract Farkas multipliers from the artificial columns
-        y = tuple((flips * (-1 - tab.obj[n_struct:n_struct + m])).tolist())
+        # infeasible: a row's multiplier is the phase-1 cost of its start
+        # column (-1 for an artificial, 0 for a slack) minus its reduced cost
+        cost = np.where(tab.start >= n_struct, -1, 0)
+        y = tuple((flips * (cost - tab.obj[tab.start])).tolist())
         ok = verify_farkas(lp, y, 0.0 if exact else FEAS_TOL, exact=exact)
         return LPResult(
             status="infeasible", farkas=y, certificate_ok=ok, pivots=(p1, 0)

@@ -28,6 +28,7 @@ from ontomodels.framework import MeasContext, functional_dependence_test, verify
 from ontomodels.hilbert import PureState, born_probability, complete_basis, random_state
 from ontomodels.ksval import find_valuation, graph_from_edges
 from ontomodels.rng import stream
+from test_lp_golden import kcbs_cycle_text
 
 D2_TEXT = """\
 dim=2
@@ -712,3 +713,32 @@ class TestAnalyze:
 
     def test_reports_are_deterministic(self, kcbs):
         assert analyze(kcbs) == analyze(kcbs)
+
+    @pytest.mark.parametrize("n", [None, 5, 7, 9, 11])
+    def test_atom_table_rows_match_a_row_loop(self, n, monkeypatch):
+        # both LPs' rows, on kcbs.frag and on rotated KCBS n-cycles, against
+        # one Python-looped row per (state, ray) cell
+        from ontomodels import epibound
+
+        calls = []
+        rows = epibound._AtomTable.rows
+
+        def recording(table, first, cells):
+            calls.append((table, first, cells, rows(table, first, cells)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(epibound._AtomTable, "rows", recording)
+        if n is None:
+            analyze(load_fragment(fragment_path("kcbs.frag")))
+        else:
+            analyze(parse_fragment(kcbs_cycle_text(n), name=f"kcbs-{n}"))
+        assert [first for _, first, _, _ in calls] == [0, 1]
+        for table, first, cells, got in calls:
+            state, atom = np.nonzero(table.admissible)
+            want = np.zeros((len(cells), first + len(atom)), dtype=int)
+            for row, (i, r) in zip(want, cells):
+                hit = state == i
+                if r is not None:
+                    hit &= table.val[atom, r] == 1
+                row[first:] = hit
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -17,6 +17,7 @@ from ontomodels.simplex import (
     LPError,
     _Tableau,
     _array,
+    _standardize,
     simplex_solve,
     verify_farkas,
 )
@@ -226,60 +227,138 @@ def test_redundant_equality_row_is_dropped(exact):
 
 
 @pytest.mark.parametrize("exact", [False, True])
+def test_ub_rows_with_nonnegative_rhs_take_no_phase1_pivot(exact):
+    # every row is <= with b >= 0 (zero and, in float mode, -0.0 among them):
+    # the slacks make the start basis, the tableau has no artificial
+    # column, and phase 1 has nothing to do
+    num = Fraction if exact else float
+    tol = Fraction(0) if exact else FEAS_TOL
+    lp = LinearProgram(3, [1, 1, 1])
+    for coeffs, rhs in ([1, 1, 0], 4), ([0, 1, 1], 3), ([1, 0, -1], 0), ([-1, 0, 0], -0.0):
+        lp.add_ub([num(v) for v in coeffs], num(rhs))
+    a, b, _, start = _standardize(lp, exact)
+    tab = _Tableau(a, b, tol, start)
+    assert tab.art_rows.size == 0 and tab.width == tab.n_struct == 7
+    assert tab.basis == [3, 4, 5, 6]
+    res = simplex_solve(lp, exact=exact)
+    assert res.status == "optimal" and res.pivots[0] == 0
+    assert res.value == 6 and res.x == (3, 0, 3)
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        lp = LinearProgram(n, rng.integers(-3, 4, size=n).tolist())
+        for _ in range(int(rng.integers(1, 6))):
+            lp.add_ub(rng.integers(-4, 5, size=n).tolist(), int(rng.integers(0, 6)))
+        res = simplex_solve(lp, exact=exact)
+        assert res.status != "infeasible" and res.pivots[0] == 0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_artificials_only_on_eq_rows_and_negated_rows(exact):
+    num = Fraction if exact else float
+    tol = Fraction(0) if exact else FEAS_TOL
+    lp = LinearProgram(2, [1, 1])
+    lp.add_eq([num(1), num(1)], num(2))  # row 0: eq
+    lp.add_eq([num(1), num(-1)], num(0))  # row 1: eq with a zero rhs
+    lp.add_ub([num(1), num(0)], num(3))  # row 2: slack column 2
+    lp.add_ub([num(-1), num(0)], num(-1))  # row 3: negated
+    lp.add_ub([num(0), num(-1)], num(0))  # row 4: slack column 4
+    lp.add_ub([num(0), num(-1)], num(-0.0))  # row 5: slack column 5
+    a, b, flips, start = _standardize(lp, exact)
+    assert start.tolist() == [-1, -1, 2, -1, 4, 5]
+    assert flips.tolist() == [1, 1, 1, -1, 1, 1]
+    tab = _Tableau(a, b, tol, start)
+    assert tab.art_rows.tolist() == [0, 1, 3]
+    assert tab.width == 9 and tab.basis == [6, 7, 2, 8, 4, 5]
+    # each artificial column is the unit column of its row
+    assert [tab.t[:, 6 + k].tolist() for k in range(3)] == [
+        [int(i == r) for i in range(6)] for r in (0, 1, 3)
+    ]
+    res = simplex_solve(lp, exact=exact)
+    assert res.status == "optimal" and res.value == 2 and res.x == (1, 1)
+
+
+@pytest.mark.parametrize("exact", [False, True])
 def test_ratio_tie_leaves_the_smallest_basic_index(exact):
     # entering column 0 meets ratio 1 in both rows; row 1 holds basic
-    # column 1, row 0 basic column 2, so Bland's rule makes row 1 leave
+    # column 1, row 0 basic column 2 (both slack starts, so the tableau has
+    # no artificial column), so Bland's rule makes row 1 leave
     num = Fraction if exact else float
     a = np.array([[num(1), num(0), num(1)], [num(1), num(1), num(0)]],
                  dtype=object if exact else float)
     # in float mode the second ratio is off by less than the tolerance
     b = np.array([num(1), num(1) + (0 if exact else 1e-12)], dtype=a.dtype)
-    tab = _Tableau(a, b, Fraction(0) if exact else FEAS_TOL)
-    tab.basis = [2, 1]
-    tab.set_objective(np.array([num(1)] + [num(0)] * 4, dtype=a.dtype))
+    tab = _Tableau(a, b, Fraction(0) if exact else FEAS_TOL, [2, 1])
+    assert tab.width == 3 and tab.basis == [2, 1]
+    tab.set_objective(np.array([num(1)] + [num(0)] * 2, dtype=a.dtype))
     assert tab.run(3, 10) == ("optimal", 1)
     assert tab.basis == [2, 0]
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_phase1_column_sums_match_priced_out_objective(exact):
-    # simplex_solve starts phase 1 from the tableau's column sums; pricing
-    # the objective -sum(artificials) out row by row gives the same bits
+    # simplex_solve starts phase 1 from the column sums of the artificial
+    # rows; pricing the objective -sum(artificials) out against the start
+    # basis, slacks included, row by row gives the same values
     rng = np.random.default_rng(3)
     tol = Fraction(0) if exact else FEAS_TOL
+    mixed = 0
     for _ in range(30):
-        m, n = (int(k) for k in rng.integers(1, 40, size=2))
-        a = rng.integers(-9, 10, size=(m, n))
-        b = rng.integers(0, 10, size=m)
-        if not exact:
-            a, b = a / 7, b / 3
-        tab = _Tableau(_array(a.tolist(), exact), _array(b.tolist(), exact), tol)
-        sums = tab.t.sum(axis=0)
-        sums[n:n + m] = tol * 0
-        tab.set_objective(_array([0] * n + [-1] * m, exact))
+        n_eq, n_ub, n = (int(k) for k in rng.integers(1, 20, size=3))
+        lp = LinearProgram(n)
+        for k in range(n_eq + n_ub):
+            coeffs = rng.integers(-9, 10, size=n)
+            rhs = int(rng.integers(-9, 10))
+            if not exact:
+                coeffs, rhs = coeffs / 7, rhs / 3
+            (lp.add_eq if k < n_eq else lp.add_ub)(coeffs.tolist(), rhs)
+        a, b, _, start = _standardize(lp, exact)
+        tab = _Tableau(a, b, tol, start)
+        mixed += len(tab.art_rows) < tab.m
+        sums = tab.t[tab.art_rows].sum(axis=0)
+        sums[tab.n_struct:tab.width] = tol * 0
+        costs = [0] * tab.n_struct + [-1] * len(tab.art_rows)
+        tab.set_objective(_array(costs, exact))
         assert sums.tolist() == tab.obj.tolist()
+    assert mixed > 20
+
+
+def _with_slacks(a, slack_rows, exact):
+    """a with a unit column appended for each row of slack_rows, and the
+    start basis that makes those columns basic; the other rows start on an
+    artificial."""
+    m, n = a.shape
+    eye = np.eye(m, dtype=int)[:, slack_rows]
+    start = np.full(m, -1)
+    start[slack_rows] = n + np.arange(len(slack_rows))
+    return np.hstack([a, _array(eye.tolist(), exact).reshape(eye.shape)]), start
 
 
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 60])
 @pytest.mark.parametrize("m", [1, 2, 9, 200])
 def test_phase1_objective_has_the_bits_of_the_full_column_sums(m, n, exact):
-    # The phase-1 row sums only the structural and rhs columns; it must
-    # equal the sums of the whole tableau with the artificial block zeroed.
-    # Full-mantissa floats over eight decades make float sums depend on
-    # their order, so a pairwise sum of a lone column would show.
+    # The phase-1 row sums only the structural and rhs columns of the
+    # artificial rows; it must equal the full column sums of those rows with
+    # the artificial block zeroed.  Full-mantissa floats over eight decades
+    # make float sums depend on their order, so a pairwise sum of a lone
+    # column would show.  Without slacks every row is artificial.
     rng = np.random.default_rng(m * 100 + n)
     tol = Fraction(0) if exact else FEAS_TOL
-    for _ in range(5):
+    for slacks in [False] * 5 + [True] * 5:
         if exact:
             a = _array(rng.integers(-999, 1000, size=(m, n)).tolist(), True) / 7
             b = _array(rng.integers(0, 1000, size=m).tolist(), True) / 3
         else:
             a = rng.uniform(-1, 1, size=(m, n)) * 10.0 ** rng.uniform(-4, 4, size=(m, n))
             b = rng.random(m) * 10.0 ** rng.uniform(-4, 4, size=m)
-        tab = _Tableau(a, b, tol)
-        want = tab.t.sum(axis=0)
-        want[n:n + m] = tol * 0
+        # with slacks, about half the rows after row 0 start on one
+        slack_rows = 1 + np.flatnonzero(rng.random(m - 1) < 0.5) if slacks else []
+        a, start = _with_slacks(a, slack_rows, exact)
+        tab = _Tableau(a, b, tol, start)
+        assert tab.art_rows.tolist() == np.flatnonzero(start < 0).tolist()
+        want = tab.t[tab.art_rows].sum(axis=0)
+        want[tab.n_struct:tab.width] = tol * 0
         tab.set_phase1_objective()
         assert tab.obj.dtype == want.dtype and tab.obj.shape == want.shape
         if exact:
@@ -326,6 +405,8 @@ def test_exact_mode_widens_numpy_integers():
 
 
 def test_zero_optimum_is_positive_zero():
+    # so are the nonbasic zeros of x, also where their reduced cost (here
+    # column 0's, -1) is negative
     empty = LinearProgram(0)
     empty.add_eq([], 0)
     capped = LinearProgram(1, [-1])
@@ -334,6 +415,7 @@ def test_zero_optimum_is_positive_zero():
         res = simplex_solve(lp)
         assert res.status == "optimal"
         assert math.copysign(1.0, res.value) == 1.0
+        assert all(math.copysign(1.0, v) == 1.0 for v in res.x)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +515,11 @@ def test_pivot_leaves_zero_row_columns_and_zero_column_rows_untouched(exact):
             a, b = a / 3, b / 2
             a[(a == 0) & (rng.random((m, n)) < 0.5)] = -0.0
             b[(b == 0) & (rng.random(m) < 0.5)] = -0.0
-        tab, dense = _Tableau(a, b, tol), _DenseTableau(a, b, tol)
+        # about half the rows start on a slack, the others on an artificial
+        a, start = _with_slacks(a, np.flatnonzero(rng.random(m) < 0.5), exact)
+        tab, dense = _Tableau(a, b, tol, start), _DenseTableau(a, b, tol, start)
         r = int(rng.integers(m))
-        c = int(rng.choice(np.flatnonzero(tab.t[r, :n + m])))
+        c = int(rng.choice(np.flatnonzero(tab.t[r, :tab.width])))
         structural += c < n
         before = tab.t.copy()  # in exact mode, the same Fraction objects
         for t in (tab, dense):
@@ -446,17 +530,34 @@ def test_pivot_leaves_zero_row_columns_and_zero_column_rows_untouched(exact):
         for i in np.flatnonzero(others & (before[:, c] == 0)):
             assert _identical(tab.t[i], before[i])
         # nor, in the other rows, the columns where the pivot row is zero,
-        # but for column 0 and the rhs, which x reads the signs of zeros from
-        for j in range(1, n + m):
+        # but for the rhs, which x reads the signs of zeros from
+        for j in range(tab.width):
             if not tab.t[r, j]:
                 assert _identical(tab.t[others, j], before[others, j])
-        # every entry has the value of the full update, column 0 and the
-        # rhs its bits; elsewhere only a zero's sign may differ
+        # every entry has the value of the full update, the rhs its bits;
+        # elsewhere only a zero's sign may differ
         assert tab.t.tolist() == dense.t.tolist()
         if not exact:
-            assert _identical(tab.t[:, [0, -1]], dense.t[:, [0, -1]])
+            assert _identical(tab.t[:, -1], dense.t[:, -1])
             assert _identical(tab.obj, dense.obj)
     assert structural > 20
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_farkas_weight_on_a_slack_start_row_verifies(exact):
+    # x = 2 against x <= 1 and the trivial row 0 <= 1: every certificate
+    # weighs the row x <= 1, which starts on its slack, so its multiplier
+    # is read from that slack's reduced cost
+    scalar = Fraction if exact else float
+    lp = LinearProgram(1, [0])
+    lp.add_eq([1], 2)
+    lp.add_ub([1], 1)
+    lp.add_ub([0], 1)
+    res = simplex_solve(lp, exact=exact)
+    assert res.status == "infeasible" and res.certificate_ok is True
+    assert all(type(v) is scalar for v in res.farkas)
+    assert res.farkas == (-1, 1, 0)
+    assert verify_farkas(lp, res.farkas, 0.0 if exact else FEAS_TOL, exact=exact)
 
 
 # ---------------------------------------------------------------------------
