@@ -526,7 +526,10 @@ def _feasibility(fragment: Fragment, table: _AtomTable) -> FeasibilityResult:
 
 @dataclass(frozen=True)
 class PairBound:
-    """Core mass kept by one ordered (measured, prepared) pair at optimum."""
+    """Core mass kept by one ordered (measured, prepared) pair at the optimal
+    vertex the simplex reaches.  Only f*, the least ratio, is fixed by the
+    LP: on rotated KCBS rings n = 9 and 11, the slack start basis moved one
+    pair's ratio from 1 to 0.917 and 0.928 with f* unchanged."""
 
     measured: str
     prepared: str
@@ -541,6 +544,7 @@ class OverlapResult:
 
     f_star stays a Fraction in exact mode.  The bound only constrains
     outcome-deterministic noncontextual models, hence the caveat field.
+    The weights and pairs are those of the optimal vertex reached (PairBound).
     """
 
     status: str

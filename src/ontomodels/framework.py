@@ -944,7 +944,9 @@ def canonical_mix_contexts(dim: int):
 
 def prep_context_distance(model, rho: DensityOperator, ctx_a, ctx_b, engine) -> float:
     """Total-variation distance between the epistemic states two
-    preparation procedures assign to the same density operator."""
+    preparation procedures assign to the same density operator, with
+    densities f_a and f_b: (M/2) E_ref|f_a - f_b|, an ``_expect`` over the
+    reference state of the ontic space (mass M, density 1/M)."""
     for ctx in (ctx_a, ctx_b):
         if not isinstance(ctx.payload, Decomposition):
             raise PreparationMismatchError(
@@ -961,8 +963,8 @@ def prep_context_distance(model, rho: DensityOperator, ctx_a, ctx_b, engine) -> 
         for ctx in (ctx_a, ctx_b)
     )
 
-    # The integrals below are against the reference measure, not an
-    # epistemic state, so they need every component's density.
+    # The integral below is over the reference measure, so it needs every
+    # component's density.
     if isinstance(engine, ClosedForm) or any(
         mu.density is None for _, mu in parts_a + parts_b
     ):
@@ -977,29 +979,22 @@ def prep_context_distance(model, rho: DensityOperator, ctx_a, ctx_b, engine) -> 
         f_b = sum(w * mu.density(pts) for w, mu in parts_b)
         return np.abs(f_a - f_b)
 
-    if isinstance(engine, SphereQuadrature):
-        axes_a = [n for _, mu in parts_a for n in mu.split_axes]
-        axes_b = [n for _, mu in parts_b for n in mu.split_axes]
-        extra = []
-        # Kinks of |f_a - f_b| also lie where the two densities cross;
-        # for single-axis cosine densities those are the bisector circles.
-        for a in axes_a:
-            for b in axes_b:
-                for s in (a + b, a - b):
-                    n = np.linalg.norm(s)
-                    if n > 1e-9:
-                        extra.append(s / n)
-        return 0.5 * engine.integrate(integrand, tuple(axes_a + axes_b + extra))
-
-    if isinstance(engine, MonteCarlo):
-        space = model.ontic_space
-        est = engine.mean(
-            space.reference_sampler, integrand,
-            "prep-tv", model.name, ctx_a.label, ctx_b.label,
-        )
-        return 0.5 * space.reference_mass * est.value
-
-    raise EngineError(f"unknown engine {engine!r}")
+    axes_a = [n for _, mu in parts_a for n in mu.split_axes]
+    axes_b = [n for _, mu in parts_b for n in mu.split_axes]
+    # Kinks of |f_a - f_b| also lie where the two densities cross;
+    # for single-axis cosine densities those are the bisector circles.
+    sums = [s for a in axes_a for b in axes_b for s in (a + b, a - b)]
+    extra = [s / np.linalg.norm(s) for s in sums if np.linalg.norm(s) > 1e-9]
+    space = model.ontic_space
+    ref = EpistemicState(
+        "reference", support=lambda pts: np.ones(len(pts), dtype=bool),
+        density=lambda pts: 1.0 / space.reference_mass, sampler=space.reference_sampler,
+    )
+    est = _expect(
+        model, ref, integrand, engine, tuple(axes_a + axes_b + extra),
+        "prep-tv", model.name, ctx_a.label, ctx_b.label,
+    )
+    return 0.5 * space.reference_mass * est.value
 
 
 PREP_TV_CONTEXTUAL = 0.01

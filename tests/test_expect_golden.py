@@ -88,7 +88,7 @@ OVERLAP = {
 }
 
 PREP_TV = {
-    ("ks", "quad:17"): "0x1.a827999fcef33p-2",
+    ("ks", "quad:17"): "0x1.a827999fcef37p-2",
     ("ks", "mc:4096"): "0x1.abaeb06d5c16bp-2",
     ("bell2", "closed"): "0x1.0000000000000p+0",
     ("bell2", "quad:17"): "0x1.0000000000000p+0",

@@ -529,6 +529,23 @@ class TestPrepContext:
         )
         assert abs(tv - (math.sqrt(2.0) - 1.0)) <= 1e-13
 
+    def test_monte_carlo_distance_is_near_the_exact_value(self):
+        # The reference mass is 4 pi; without it the estimate reads 0.033.
+        ctx_a, ctx_b = fw.canonical_mix_contexts(2)
+        tv = fw.prep_context_distance(
+            make_ks(), mix(ctx_a.payload), ctx_a, ctx_b, parse_engine("mc:200000")
+        )
+        assert abs(tv - (math.sqrt(2.0) - 1.0)) <= 0.01
+
+    def test_quadrature_refuses_a_space_that_is_not_a_sphere(self):
+        ks = make_ks()
+        flat = dataclasses.replace(
+            ks, ontic_space=dataclasses.replace(ks.ontic_space, kind="finite")
+        )
+        ctx_a, ctx_b = fw.canonical_mix_contexts(2)
+        with pytest.raises(EngineError):
+            fw.prep_context_distance(flat, mix(ctx_a.payload), ctx_a, ctx_b, QUAD)
+
     def test_same_context_distance_is_zero(self):
         ks = make_ks()
         ctx_a, _ = fw.canonical_mix_contexts(2)
