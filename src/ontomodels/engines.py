@@ -16,7 +16,8 @@ ontic space.  Three interchangeable engines evaluate them:
   integrates all its outcomes on it.
   Its tolerance is 1e-6 at every level, so ``parse_engine`` accepts levels
   from ``QUAD_MIN_LEVEL`` up, the lowest that keeps the hemisphere integrals
-  of ``ks`` inside it.
+  of ``ks`` inside it, to ``QUAD_MAX_LEVEL``: node memory grows as the
+  square of the level, and ``verify --model ks`` peaks at 163 MB there.
 * ``MonteCarlo`` averages a function, or k functions at once, over draws
   from a caller-supplied sampler.  Work is cut into fixed-size blocks, each
   fed by its own labeled stream, so totals are independent of how the
@@ -43,6 +44,7 @@ from .rng import DEFAULT_SEED, stream
 
 MC_BLOCK = 1 << 16
 QUAD_MIN_LEVEL = 15
+QUAD_MAX_LEVEL = 257
 
 
 def _block_sizes(n: int, block: int) -> list:
@@ -380,8 +382,9 @@ def sample_sphere(rng: np.random.Generator, m: int) -> np.ndarray:
 def parse_engine(spec: str, *, seed: int | None = None):
     """Build an engine from a compact spec string.
 
-    Accepted forms: "closed", "quad:<level>" with level at least
-    QUAD_MIN_LEVEL, "mc:<n_samples>".
+    Accepted forms: "closed", "quad:<level>" with level from
+    QUAD_MIN_LEVEL to QUAD_MAX_LEVEL, "mc:<n_samples>" with at least 2
+    samples.
     """
     parts = str(spec).strip().split(":")
     name = parts[0]
@@ -401,12 +404,18 @@ def parse_engine(spec: str, *, seed: int | None = None):
                 f"quadrature level {level} is below {QUAD_MIN_LEVEL}, the lowest "
                 f"level held to the {SphereQuadrature.tolerance:g} tolerance"
             )
+        if level > QUAD_MAX_LEVEL:
+            raise EngineError(
+                f"quadrature level {level} is above {QUAD_MAX_LEVEL}, the highest "
+                f"level accepted (node memory grows as the square of the level)"
+            )
         return SphereQuadrature(level)
     if name == "mc":
         if len(parts) != 2:
             raise EngineError(f"bad engine spec {spec!r}")
         try:
-            return MonteCarlo(int(parts[1]), seed=seed)
+            n_samples = int(parts[1])
         except ValueError as exc:
             raise EngineError(f"bad engine spec {spec!r}") from exc
+        return MonteCarlo(n_samples, seed=seed)
     raise EngineError(f"unknown engine {name!r}")

@@ -657,11 +657,15 @@ def _overlap(fragment: Fragment, table: _AtomTable) -> OverlapResult:
 # Wrapping LP weights as a finite ontological model
 
 
-def _state_index(fragment: Fragment, psi: PureState) -> int:
-    for i, s in enumerate(fragment.states):
-        if s.same_ray(psi, atol=ORTH_TOL):
-            return i
-    raise ValueError("state is not one of the fragment's preparations")
+def _nearest_ray(vectors, phi: PureState, missing: str) -> int:
+    """Index of the vector with the largest |<u|phi>| (the first of equals),
+    which must lie on phi's ray within ORTH_TOL, else ValueError(missing).
+    Exact fragments keep rays apart that are closer than that, so the
+    first vector within ORTH_TOL can be another ray's."""
+    best = max(range(len(vectors)), key=lambda r: abs(vectors[r].inner(phi)), default=None)
+    if best is None or not vectors[best].same_ray(phi, atol=ORTH_TOL):
+        raise ValueError(missing)
+    return best
 
 
 def fragment_model(
@@ -693,15 +697,14 @@ def fragment_model(
     )
 
     def ray_of(phi: PureState) -> int:
-        for r, u in enumerate(table.rays.vectors):
-            if u.same_ray(phi, atol=ORTH_TOL):
-                return r
-        raise ValueError("outcome state is not a measured ray of the fragment")
+        return _nearest_ray(
+            table.rays.vectors, phi, "outcome state is not a measured ray of the fragment"
+        )
 
     labels = fragment.state_labels
 
     def prepare_pure(psi: PureState) -> EpistemicState:
-        i = _state_index(fragment, psi)
+        i = _nearest_ray(fragment.states, psi, "state is not one of the fragment's preparations")
         idx = np.nonzero(wmat[i] > 0)[0]
         ws = wmat[i][idx]
         ws = ws / ws.sum()

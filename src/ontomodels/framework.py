@@ -348,14 +348,19 @@ def _expect(model, mu: EpistemicState, f, engine, axes, *labels) -> Estimate:
     """E_mu[f], the one place an engine is matched to an epistemic state:
     an exact sum over point masses (stderr 0 under Monte Carlo), sphere
     quadrature of f times the density split on ``axes``, or a Monte Carlo
-    mean over the state's sampler on the stream named by ``labels``.  The
-    last two give a tuple of estimates when f returns one column per
-    integrand; quadrature multiplies each column by the density."""
+    mean over the state's sampler on the stream named by ``labels``.  All
+    three give a tuple of estimates when f returns one column per
+    integrand, each column reduced on its own with the bits it has as a
+    1-D integrand; quadrature multiplies each column by the density."""
     if mu.point_masses is not None:
         atoms, weights = mu.point_masses
-        val = float(weights @ np.asarray(f(atoms), dtype=float))
+        vals = np.asarray(f(atoms), dtype=float)
         stderr = 0.0 if isinstance(engine, MonteCarlo) else None
-        return Estimate(val, EXACT_TOL, engine.spec, stderr=stderr)
+        ests = tuple(
+            Estimate(float(weights @ np.ascontiguousarray(c)), EXACT_TOL, engine.spec, stderr)
+            for c in vals.reshape(len(weights), -1).T
+        )
+        return ests if vals.ndim == 2 else ests[0]
     if isinstance(engine, SphereQuadrature):
         if model.ontic_space.kind != "sphere2" or mu.density is None:
             raise EngineError(
@@ -379,47 +384,33 @@ def outcome_index(phi: PureState, payload) -> int:
     raise ValueError("outcome state is not an element of the measurement basis")
 
 
-def _predict_outcome(model, psi, mu, phi, sm, engine) -> Estimate:
-    if mu.point_masses is None:
-        if model.closed_response_mean is None:
-            raise EngineError(
-                f"model {model.name} has no closed-form response mean"
-            )
-        return engine.estimate(model.closed_response_mean(psi, phi, sm))
-    return _expect(
-        model, mu, lambda batch: model.respond.evaluate(phi, batch, sm), engine, ()
-    )
+def predict_basis(model: OntologicalModel, psi: PureState, sm: MeasContext, engine) -> tuple:
+    """The model's prediction for every outcome of sm after preparing psi,
+    in basis order: the response averaged over the epistemic state.
 
-
-def _predict(model, psi, sm, engine, outcomes) -> tuple:
-    """Estimates for the outcomes of sm at the basis positions outcomes.
-
-    A state without point masses is integrated for the whole basis at
-    once, except in closed form: Monte Carlo draws one batch, on the
-    stream ("predict", model, state, basis), and quadrature builds one
-    rule, split on the state's axes and every outcome's, and both score
-    all outcomes on it.  Closed form and point masses give the outcomes
-    asked for, one by one."""
+    One ``_expect`` call scores the whole basis on one set of ontic states
+    (``ResponseFunction.evaluate_basis``): the state's point masses, one
+    Monte Carlo batch on the stream ("predict", model, state, basis), or
+    one quadrature rule split on the state's axes and every outcome's.
+    Only a closed-form engine on a state without point masses goes
+    outcome by outcome, through the model's ``closed_response_mean``."""
     if any(b.dim != psi.dim for b in sm.payload):
         raise DimensionMismatchError("prepared and measured dims differ")
     mu = model.prepare(psi)
-    if not isinstance(engine, ClosedForm) and mu.point_masses is None:
-        split = model.respond.split_axes
-        axes = tuple(mu.split_axes) + (
-            tuple(a for phi in sm.payload for a in split(phi, sm)) if split else ()
+    if isinstance(engine, ClosedForm) and mu.point_masses is None:
+        if model.closed_response_mean is None:
+            raise EngineError(f"model {model.name} has no closed-form response mean")
+        return tuple(
+            engine.estimate(model.closed_response_mean(psi, phi, sm)) for phi in sm.payload
         )
-        ests = _expect(
-            model, mu, lambda batch: model.respond.evaluate_basis(batch, sm), engine, axes,
-            "predict", model.name, mu.label, sm.label,
-        )
-        return tuple(ests[i] for i in outcomes)
-    return tuple(_predict_outcome(model, psi, mu, sm.payload[i], sm, engine) for i in outcomes)
-
-
-def predict_basis(model: OntologicalModel, psi: PureState, sm: MeasContext, engine) -> tuple:
-    """The model's prediction for every outcome of sm after preparing psi,
-    in basis order: the response averaged over the epistemic state."""
-    return _predict(model, psi, sm, engine, range(len(sm.payload)))
+    split = model.respond.split_axes
+    axes = tuple(mu.split_axes) + (
+        tuple(a for phi in sm.payload for a in split(phi, sm)) if split else ()
+    )
+    return _expect(
+        model, mu, lambda batch: model.respond.evaluate_basis(batch, sm), engine, axes,
+        "predict", model.name, mu.label, sm.label,
+    )
 
 
 def predict_probability(
@@ -431,11 +422,11 @@ def predict_probability(
 ) -> Estimate:
     """The model's prediction for preparing psi and asking for outcome phi
     of sm, an element of its basis (by default phi completed to a basis):
-    the matching entry of ``predict_basis``, bit for bit."""
+    the matching entry of ``predict_basis``."""
     if sm is None:
         sm = measurement_of(phi)
-    (est,) = _predict(model, psi, sm, engine, (outcome_index(phi, sm.payload),))
-    return est
+    i = outcome_index(phi, sm.payload)
+    return predict_basis(model, psi, sm, engine)[i]
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from ontomodels.cli import (
     main,
 )
 from ontomodels.data import fragment_path, vector_path
+from ontomodels.engines import QUAD_MAX_LEVEL
 from ontomodels.epibound import fragment_rays, parse_fragment
 from ontomodels.rng import DEFAULT_SEED
 from ontomodels.simplex import simplex_solve
@@ -113,6 +114,19 @@ class TestVerify:
         rc, rep = run_json("verify", "--model", "ks", "--engine", "quad:15")
         assert rc == 0
         assert rep["report"]["passed"] is True
+
+    @pytest.mark.parametrize("spec", [f"quad:{QUAD_MAX_LEVEL + 1}", "quad:3000000"])
+    def test_quadrature_above_maximum_level_is_usage_error(self, spec):
+        # quad:3000000 would ask numpy for 262 TiB of nodes.
+        rc, out, err = run_cli("verify", "--model", "ks", "--engine", spec)
+        assert (rc, out) == (2, "")
+        assert f"above {QUAD_MAX_LEVEL}" in err
+        assert "Traceback" not in err
+
+    def test_monte_carlo_sample_count_error_keeps_its_message(self):
+        rc, out, err = run_cli("verify", "--model", "ks", "--engine", "mc:1")
+        assert (rc, out) == (2, "")
+        assert err == "ontomodels: error: Monte Carlo needs at least 2 samples\n"
 
     def test_envelope_shape(self):
         rc, rep = run_json(

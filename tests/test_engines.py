@@ -13,6 +13,7 @@ from ontomodels.engines import (
     ClosedForm,
     EngineError,
     MC_BLOCK,
+    QUAD_MAX_LEVEL,
     QUAD_MIN_LEVEL,
     MonteCarlo,
     SphereQuadrature,
@@ -461,6 +462,17 @@ class TestParseEngine:
         with pytest.raises(EngineError, match=f"below {QUAD_MIN_LEVEL}"):
             parse_engine(f"quad:{level}")
         assert SphereQuadrature(level).level == level
+
+    @pytest.mark.parametrize("level", [QUAD_MAX_LEVEL + 1, 3_000_000])
+    def test_rejects_quadrature_above_maximum_level(self, level):
+        with pytest.raises(EngineError, match=f"above {QUAD_MAX_LEVEL}"):
+            parse_engine(f"quad:{level}")
+        assert parse_engine(f"quad:{QUAD_MAX_LEVEL}").level == QUAD_MAX_LEVEL
+
+    @pytest.mark.parametrize("n", [-5, 0, 1])
+    def test_too_few_samples_keep_their_message(self, n):
+        with pytest.raises(EngineError, match="^Monte Carlo needs at least 2 samples$"):
+            parse_engine(f"mc:{n}")
 
     def test_closed_form_estimate_is_tight(self):
         est = ClosedForm().estimate(0.5)

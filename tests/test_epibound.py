@@ -43,6 +43,23 @@ basis:
 1,0 -1,0
 """
 
+# Two exact rays about 1e-5 rad apart, (100000, 1, 0) and e1, whose float
+# overlap is within ORTH_TOL of 1, each prepared and each measured.
+NEAR_TEXT = """\
+dim=3
+exact
+state: 1,0 0,0 0,0
+state: 100000,0 1,0 0,0
+basis:
+1,0 0,0 0,0
+0,0 1,0 0,0
+0,0 0,0 1,0
+basis:
+100000,0 1,0 0,0
+-1,0 100000,0 0,0
+0,0 0,0 1,0
+"""
+
 # analytic optimum of the bundled pentagon fragment, and the value the
 # solver actually lands on (frozen as a regression golden)
 KCBS_ANALYTIC = 2.0 / math.sqrt(5.0)
@@ -662,6 +679,17 @@ class TestFragmentModel:
         model = fragment_model(d2, res.weights)
         with pytest.raises(ValueError, match="not one of the fragment"):
             model.prepare(ps(2, 1))
+
+    def test_nearly_parallel_exact_rays_read_their_own_valuations(self):
+        # The first ray within ORTH_TOL of (100000, 1, 0) is e1: reading
+        # its valuation predicted 1e-10 where Born gives 2e-43.
+        frag = parse_fragment(NEAR_TEXT, name="near")
+        res = feasibility_max_epistemic(frag)
+        assert res.status == "Feasible"
+        model = fragment_model(frag, res.weights)
+        report = verify_born(model, frag.states, contexts(frag), ClosedForm())
+        assert report.passed
+        assert report.max_deviation < 1e-12
 
     def test_no_model_without_atoms(self, peres):
         with pytest.raises(ValueError, match="no atoms"):

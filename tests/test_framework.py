@@ -161,6 +161,25 @@ class TestPredictProbability:
             assert (one.value.hex(), one.tolerance) == (est.value.hex(), est.tolerance)
         assert calls == [3, 3, 3]
 
+    @pytest.mark.parametrize("spec", ["closed", "mc:4096"])
+    def test_point_masses_score_the_basis_in_one_call(self, spec):
+        bb = make_bb(3)
+        calls = []
+
+        def evaluate_all(batch, sm):
+            calls.append(sm.label)
+            return np.stack([bb.respond.evaluate(phi, batch, sm) for phi in sm.payload], axis=1)
+
+        model = dataclasses.replace(
+            bb, respond=dataclasses.replace(bb.respond, evaluate_all=evaluate_all)
+        )
+        states, bases = fw.random_born_suite(3, 4, seed=2)
+        for psi, sm in zip(states, bases):
+            ests = fw.predict_basis(model, psi, sm, parse_engine(spec))
+            for phi, est in zip(sm.payload, ests):
+                assert est.value == pytest.approx(fw.born_probability(phi, psi), abs=1e-12)
+        assert calls == [sm.label for sm in bases]
+
     @pytest.mark.parametrize("engine", [QUAD, mc(1000)], ids=["quad:17", "mc:1000"])
     def test_outcome_must_be_in_the_basis(self, engine):
         sm = fw.measurement_of(basis_state(2, 0))
