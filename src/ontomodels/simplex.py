@@ -5,8 +5,13 @@ Bland's smallest-index rule on both the entering and the leaving choice
 prevents cycling, so the search terminates even on degenerate programs.
 Infeasible systems return a Farkas multiplier vector that verify_farkas
 re-checks by direct arithmetic; in float mode all comparisons use a
-feasibility tolerance, in exact mode every entry is a Fraction and the
-tolerance is zero.
+feasibility tolerance, in exact mode the tolerance is zero.
+
+Exact mode keeps integer data as Python ints until a division makes a
+Fraction: a pivot divides its row by the pivot element as a Fraction, the
+ratio test divides as Fractions, phase 1 sums integer columns and converts
+only the sums, and verify_farkas scales y by the LCM of its denominators and
+checks signs in integers.  Its value, x and Farkas vector are Fractions.
 
 Phase 1 starts from the slack basis.  A <= row whose right-hand side is
 nonnegative starts on its own slack; only equality rows and <= rows that
@@ -16,16 +21,17 @@ the final reduced cost of its start column: -1 - obj on an artificial,
 -obj on a slack, negated again for a negated row.
 
 The tableau is one 2-D numpy array: float64 in float mode, an object
-array of Fractions in exact mode.  A pivot is a rank-1 update, each entry
-a - f*b in two rounded operations, of the rows whose pivot-column entry is
-nonzero, over the columns whose pivot-row entry is nonzero plus the rhs
-column (x takes the signs of its basic zeros from it; nonbasic entries are
-+0.0), so it takes the same pivots and returns the same bits as a full
-update.
+array of ints and Fractions in exact mode.  A pivot is a rank-1 update,
+each entry a - f*b in two rounded operations, of the rows whose
+pivot-column entry is nonzero, over the columns whose pivot-row entry is
+nonzero plus the rhs column (x takes the signs of its basic zeros from it;
+nonbasic entries are +0.0), so it takes the same pivots and returns the
+same bits as a full update.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -82,20 +88,29 @@ class LPResult:
 
 
 def _conv_exact(v):
-    if isinstance(v, float):
-        raise LPError("exact mode requires rational coefficients, got a float")
-    # a Fraction of numpy integers would keep fixed-width terms that wrap
-    return Fraction(int(v) if isinstance(v, np.integer) else v)
+    """An exact coefficient: a Python int (numpy integers widened, since
+    fixed-width terms wrap) or a Fraction; any other type is an LPError."""
+    if isinstance(v, (int, np.integer)):  # np.bool_ is not an np.integer
+        return int(v)
+    if isinstance(v, Fraction):
+        return v
+    kind = type(v)
+    name = kind.__qualname__
+    if kind.__module__ != "builtins":
+        name = f"{kind.__module__}.{name}"
+    raise LPError(f"exact mode requires rational coefficients, got {name}")
 
 
-_to_fractions = np.frompyfunc(_conv_exact, 1, 1)
+_to_exact = np.frompyfunc(_conv_exact, 1, 1)
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
 def _array(values, exact):
-    """Nested lists as float64, or in exact mode as an array of Fractions."""
+    """Nested lists as float64, or in exact mode as an object array of
+    Python ints and Fractions."""
     if not exact:
         return np.array(values, dtype=float)
-    return _to_fractions(np.array(values, dtype=object))
+    return _to_exact(np.array(values, dtype=object))
 
 
 def _rows(lp: LinearProgram, exact):
@@ -126,6 +141,7 @@ class _Tableau:
         """start[i] is row i's basic slack column, or -1 for an artificial."""
         self.m, self.n_struct = a.shape  # structural columns: vars + slacks
         self.tol = tol
+        self.exact = a.dtype == object
         # columns: structural, then one artificial per row without a slack
         # in the start basis, then rhs
         start = np.array(start, dtype=int)
@@ -146,15 +162,19 @@ class _Tableau:
         sums of the artificial rows, zero on the artificial columns.
         Only the structural columns and the last two are summed, each from a
         view at least two columns wide, which numpy sums row after row as
-        it sums the whole tableau; a lone (m, 1) column is summed pairwise."""
+        it sums the whole tableau; a lone (m, 1) column is summed pairwise.
+        In exact mode the sums of integer columns are ints, and only they
+        are made Fractions, so the row is Fractions throughout."""
         zero = self.tol * 0
         self.obj = np.full(self.width + 1, zero, dtype=self.t.dtype)
         if not self.art_rows.size:
             return  # the slack basis is feasible: nothing to drive out
         rows = self.t if len(self.art_rows) == self.m else self.t[self.art_rows]
         head = max(self.n_struct, 2)
-        self.obj[:head] = rows[:, :head].sum(axis=0)
-        self.obj[-2:] = rows[:, -2:].sum(axis=0)
+        sums = [rows[:, :head].sum(axis=0), rows[:, -2:].sum(axis=0)]
+        if self.exact:
+            sums = [_to_fraction(s) for s in sums]
+        self.obj[:head], self.obj[-2:] = sums
         self.obj[self.n_struct:self.width] = zero
 
     def set_objective(self, costs):
@@ -166,10 +186,13 @@ class _Tableau:
                 self.obj = self.obj - f * self.t[i]
 
     def value(self):
-        return 0 - self.obj[-1:].item()  # +0.0, not -0.0, for a zero optimum
+        v = 0 - self.obj[-1:].item()  # +0.0, not -0.0, for a zero optimum
+        return Fraction(v) if self.exact else v
 
     def pivot(self, r, c):
-        self.t[r] = row = self.t[r] / self.t[r, c]
+        p = self.t[r, c]
+        # an int over an int is a float: exact mode divides by a Fraction
+        self.t[r] = row = self.t[r] / (Fraction(p) if self.exact else p)
         col = self.t[:, c]
         nz = np.flatnonzero(col)
         keep = row != 0  # a - f*0 is a, up to the sign of a zero, which
@@ -192,10 +215,11 @@ class _Tableau:
             cand = np.flatnonzero(col > self.tol)
             leave = -1
             best = None
+            exact = self.exact
             for i, a, rhs in zip(
                 cand.tolist(), col[cand].tolist(), self.t[cand, -1].tolist()
             ):
-                ratio = rhs / a
+                ratio = Fraction(rhs, a) if exact else rhs / a
                 if (
                     best is None
                     or ratio < best - self.tol
@@ -214,11 +238,13 @@ class _Tableau:
         basis = np.array(self.basis, dtype=int)
         basic = basis < self.n_struct
         x[basis[basic]] = self.t[basic, -1]
-        return tuple(x[:n_vars].tolist())
+        x = x[:n_vars]
+        return tuple((_to_fraction(x) if self.exact else x).tolist())
 
 
 def simplex_solve(lp: LinearProgram, exact: bool = False) -> LPResult:
-    """Two-phase simplex; in exact mode all arithmetic is over Fractions."""
+    """Two-phase simplex; in exact mode all arithmetic is exact, over Python
+    ints and Fractions, and the numbers returned are Fractions."""
     tol = Fraction(0) if exact else FEAS_TOL
     a, b, flips, start = _standardize(lp, exact)
     tab = _Tableau(a, b, tol, start)
@@ -234,6 +260,7 @@ def simplex_solve(lp: LinearProgram, exact: bool = False) -> LPResult:
     if tab.value() < -tol:
         # infeasible: a row's multiplier is the phase-1 cost of its start
         # column (-1 for an artificial, 0 for a slack) minus its reduced cost
+        # (a Fraction in exact mode, as is every phase-1 reduced cost)
         cost = np.where(tab.start >= n_struct, -1, 0)
         y = tuple((flips * (cost - tab.obj[tab.start])).tolist())
         ok = verify_farkas(lp, y, 0.0 if exact else FEAS_TOL, exact=exact)
@@ -268,11 +295,20 @@ def verify_farkas(lp: LinearProgram, y, tol: float = FEAS_TOL, exact: bool = Fal
     With multipliers y ordered as (eq rows, ub rows), infeasibility follows
     when y >= 0 on the ub rows, y.A_j >= 0 for every variable column j, and
     y.b < 0: a feasible x >= 0 would force 0 <= y.Ax <= y.b < 0.
+
+    Exact mode checks Y = s*y, with s > 0 the LCM of y's denominators, and
+    the tolerance s*tol: the same signs, from integer sums where A and b
+    are integer.
     """
     if len(y) != len(lp.eq_rows) + len(lp.ub_rows):
         return False
     a, b = _rows(lp, exact)
     y = _array(list(y), exact)
+    if exact:
+        y = y.tolist()
+        scale = math.lcm(*(v.denominator for v in y))
+        y = np.array([v.numerator * (scale // v.denominator) for v in y], dtype=object)
+        tol = Fraction(tol) * scale if tol else 0
     # columns of the standardized system: structural variables, then the
     # slack columns, where the multiplier of an ub row must be >= 0
     if np.any(y @ a < -tol) or np.any(y[len(lp.eq_rows):] < -tol):

@@ -1,5 +1,6 @@
 """Tests for the two-phase simplex solver and Farkas certificates."""
 
+import hashlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -91,12 +92,23 @@ def test_exact_mode_returns_fractions():
 
 
 def test_exact_mode_rejects_floats():
-    # a float or numpy float in the objective, in a row, or on the rhs
-    for bad in (0.5, np.float64(0.5)):
+    # a float, numpy float or bool, complex number or string in the
+    # objective, in a row, or on the rhs, named by its type
+    bad_values = [
+        (0.5, "float"),
+        (np.float64(0.5), "numpy.float64"),
+        (np.float32(0.5), "numpy.float32"),
+        (np.float16(0.5), "numpy.float16"),
+        (np.bool_(True), "numpy.bool"),
+        (1j, "complex"),
+        (complex(1, 0), "complex"),
+        ("1/2", "str"),
+    ]
+    for bad, name in bad_values:
         for objective, row, rhs in ([bad], [1], 1), ([1], [bad], 1), ([1], [1], bad):
             lp = LinearProgram(1, objective)
             lp.add_ub(row, rhs)
-            with pytest.raises(LPError, match="exact mode"):
+            with pytest.raises(LPError, match=f"exact mode .*, got {name}"):
                 simplex_solve(lp, exact=True)
 
 
@@ -345,10 +357,13 @@ def test_phase1_objective_has_the_bits_of_the_full_column_sums(m, n, exact):
     # column would show.  Without slacks every row is artificial.
     rng = np.random.default_rng(m * 100 + n)
     tol = Fraction(0) if exact else FEAS_TOL
-    for slacks in [False] * 5 + [True] * 5:
+    for k, slacks in enumerate([False] * 5 + [True] * 5):
         if exact:
-            a = _array(rng.integers(-999, 1000, size=(m, n)).tolist(), True) / 7
-            b = _array(rng.integers(0, 1000, size=m).tolist(), True) / 3
+            # ints on even draws, whose sums phase 1 makes Fractions
+            a = _array(rng.integers(-999, 1000, size=(m, n)).tolist(), True)
+            b = _array(rng.integers(0, 1000, size=m).tolist(), True)
+            if k % 2:
+                a, b = a / Fraction(7), b / Fraction(3)
         else:
             a = rng.uniform(-1, 1, size=(m, n)) * 10.0 ** rng.uniform(-4, 4, size=(m, n))
             b = rng.random(m) * 10.0 ** rng.uniform(-4, 4, size=m)
@@ -404,6 +419,191 @@ def test_exact_mode_widens_numpy_integers():
         assert res.x == (want / 2, want / 2)
 
 
+def _exact_entry(rng):
+    """A small coefficient as an int, a numpy integer or a Fraction, zero
+    one time in three; now and then an int past 2**53, where distinct ratios
+    of ints can meet as floats, and whose square overflows int64."""
+    p = int(rng.integers(-4, 5)) * (rng.random() < 2 / 3)
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return p
+    if kind == 1:
+        return np.int64(p)
+    if kind == 2:
+        return np.int32(p)
+    if kind == 3:
+        return Fraction(p, int(rng.integers(1, 7)))
+    return p * 3**40 + int(rng.integers(-2, 3)) if rng.random() < 0.2 else p
+
+
+def _exact_lp(rng):
+    """A random exact program; a third of its rows are numpy int arrays."""
+    n = int(rng.integers(1, 6))
+    lp = LinearProgram(n, [_exact_entry(rng) for _ in range(n)])
+    for _ in range(int(rng.integers(0, 7))):
+        if rng.random() < 1 / 3:
+            row = rng.integers(-3, 4, size=n)
+        else:
+            row = [_exact_entry(rng) for _ in range(n)]
+        (lp.add_eq if rng.random() < 0.3 else lp.add_ub)(row, _exact_entry(rng))
+    return lp
+
+
+def _as_fractions(lp):
+    """lp with every coefficient a Fraction."""
+
+    def frac(v):
+        return Fraction(v) if isinstance(v, Fraction) else Fraction(int(v))
+
+    out = LinearProgram(lp.n_vars, [frac(v) for v in lp.objective])
+    for rows, add in ((lp.eq_rows, out.add_eq), (lp.ub_rows, out.add_ub)):
+        for coeffs, rhs in rows:
+            add([frac(v) for v in coeffs], frac(rhs))
+    return out
+
+
+def test_exact_mode_matches_all_fraction_data():
+    # Integer data stays in ints until a pivot divides; solving the same
+    # program with every coefficient a Fraction is the oracle: the same
+    # answers, certificates and pivots, every returned number a Fraction
+    rng = np.random.default_rng(2207)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(1500):
+        lp = _exact_lp(rng)
+        got, want = simplex_solve(lp, exact=True), simplex_solve(_as_fractions(lp), exact=True)
+        assert got == want
+        statuses[got.status] += 1
+        numbers = [got.value] + list(got.x or ()) + list(got.farkas or ())
+        assert all(type(v) is Fraction for v in numbers if v is not None)
+        assert (got.value is None) == (got.status != "optimal")
+    assert min(statuses.values()) > 200
+
+
+def test_exact_ratio_test_tells_apart_ratios_that_meet_as_floats():
+    # 3**40 and 3**40 + 1 round to one float: a ratio test over int / int
+    # would see a tie, leave the row with the smaller basic index and step
+    # past x <= 3**40
+    big = 3**40
+    for rhs in ([big + 1, big], [big, big + 1]):
+        lp = LinearProgram(1, [1])
+        for b in rhs:
+            lp.add_ub([1], b)
+        res = simplex_solve(lp, exact=True)
+        assert res.status == "optimal" and res.value == big and res.x == (big,)
+        assert res == simplex_solve(_as_fractions(lp), exact=True)
+
+
+def _fraction_verdict(lp, y, tol):
+    """verify_farkas evaluated directly in Fractions."""
+    rows = lp.eq_rows + lp.ub_rows
+    y = [Fraction(v) for v in y]
+    cols = [sum(v * Fraction(row[j]) for v, (row, _) in zip(y, rows))
+            for j in range(lp.n_vars)]
+    if any(c < -tol for c in cols) or any(v < -tol for v in y[len(lp.eq_rows):]):
+        return False
+    return sum(v * Fraction(b) for v, (_, b) in zip(y, rows)) < -tol
+
+
+def test_verify_farkas_in_integers_matches_fraction_evaluation():
+    # Certificates with denominators past 2**64 and Fraction entries in A
+    # and b, whose y.A_j and y.b sit on either side of -tol or on it, so a
+    # lost or negative scale, or an unscaled tolerance, changes verdicts
+    rng = np.random.default_rng(5150)
+    tiny = Fraction(1, 2**70)
+    dens = [1, 2, 3, 7, 2**64 + 13, 3**41, 10**30 + 7]
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        n_eq, n_ub, n = int(rng.integers(1, 4)), int(rng.integers(0, 4)), int(rng.integers(1, 5))
+        den = [dens[int(k)] for k in rng.integers(len(dens), size=n_eq + n_ub)]
+        y = [Fraction(int(rng.integers(1, 9)) * (-1) ** int(rng.integers(2)), d)
+             for d in den[:n_eq]]
+        y += [Fraction(int(rng.integers(0, 9)), d) for d in den[n_eq:]]
+        if n_ub and rng.random() < 0.2:
+            y[-1] = -tiny  # rejected at tol 0, within tolerance at FEAS_TOL
+        for tol in (0.0, FEAS_TOL):
+            targets = [0, tiny, -tiny, 1, -1, -Fraction(tol), -Fraction(tol) - tiny]
+            rows = [[int(rng.integers(-3, 4)) if rng.random() < 0.5
+                     else Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+                     for _ in range(n)] for _ in range(n_eq + n_ub)]
+            b = [Fraction(int(rng.integers(-9, 10)), 3) for _ in range(n_eq + n_ub)]
+            # set row 0, whose multiplier is nonzero, so that each y.A_j and
+            # y.b land on a drawn target; y.b is negative two times in three
+            for j in range(n):
+                rest = sum(y[i] * rows[i][j] for i in range(1, n_eq + n_ub))
+                want = targets[int(rng.integers(len(targets)))]
+                if rng.random() < 0.8:
+                    want = abs(want)
+                rows[0][j] = (want - rest) / y[0]
+            rest = sum(y[i] * b[i] for i in range(1, n_eq + n_ub))
+            want = targets[int(rng.integers(len(targets)))]
+            if rng.random() < 2 / 3:
+                want = -abs(want) - Fraction(tol)
+            b[0] = (want - rest) / y[0]
+            lp = LinearProgram(n)
+            for i, (row, rhs) in enumerate(zip(rows, b)):
+                (lp.add_eq if i < n_eq else lp.add_ub)(row, rhs)
+            verdict = verify_farkas(lp, y, tol, exact=True)
+            assert verdict == _fraction_verdict(lp, y, tol)
+            assert verify_farkas(lp, [-v for v in y], tol, exact=True) == _fraction_verdict(
+                lp, [-v for v in y], tol)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 100
+
+
+_FLOAT_POOL = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, -0.25, 1 / 3, -2 / 3]
+
+
+def _float_lp(rng):
+    """A random float program with signed zeros among its entries and one
+    entry in five a full-mantissa float; half of them are capped."""
+    n = int(rng.integers(1, 6))
+
+    def vector(k):
+        v = np.array(_FLOAT_POOL)[rng.integers(len(_FLOAT_POOL), size=k)]
+        full = rng.random(k) < 0.2
+        v[full] = rng.uniform(-2, 2, size=int(full.sum()))
+        return v.tolist()
+
+    lp = LinearProgram(n, vector(n))
+    if rng.random() < 0.5:
+        lp.add_ub([1.0] * n, 4.0)  # fewer unbounded programs
+    for _ in range(int(rng.integers(0, 7))):
+        (lp.add_eq if rng.random() < 0.3 else lp.add_ub)(vector(n), vector(1)[0])
+    return lp
+
+
+def _hex(v):
+    if isinstance(v, tuple):
+        return tuple(map(_hex, v))
+    return v if v is None else float.hex(v)
+
+
+def _negative_zeros(v):
+    return sum(u == 0 and math.copysign(1.0, u) < 0 for u in v or ())
+
+
+def test_float_results_keep_their_bits():
+    # Status, value, x, Farkas vector and pivots of 1,500 float programs,
+    # every float by its hex, so a result that moves by one bit or loses
+    # the sign of a zero changes the digest.  Like the LP golden pins these
+    # are last-bit values of numpy 2.4.6 on Python 3.11: another platform
+    # may need the digest re-pinned.
+    rng = np.random.default_rng(2026)
+    digest = hashlib.sha256()
+    zeros = {"x": 0, "farkas": 0}
+    for _ in range(1500):
+        res = simplex_solve(_float_lp(rng))
+        digest.update(repr((res.status, _hex(res.value), _hex(res.x), _hex(res.farkas),
+                            res.certificate_ok, res.pivots)).encode())
+        zeros["x"] += _negative_zeros(res.x)
+        zeros["farkas"] += _negative_zeros(res.farkas)
+    # the draw returns -0.0 in x and in Farkas vectors
+    assert zeros == {"x": 29, "farkas": 106}
+    assert digest.hexdigest() == (
+        "043a5bccaccee5131285eef2045d99e26af1cc9a54766e38930dc426ba1d6cc5"
+    )
+
+
 def test_zero_optimum_is_positive_zero():
     # so are the nonbasic zeros of x, also where their reduced cost (here
     # column 0's, -1) is negative
@@ -427,7 +627,8 @@ class _DenseTableau(_Tableau):
     pivot-column entry, over every column."""
 
     def pivot(self, r, c):
-        self.t[r] = row = self.t[r] / self.t[r, c]
+        p = self.t[r, c]
+        self.t[r] = row = self.t[r] / (Fraction(p) if self.exact else p)
         col = self.t[:, c]
         nz = np.flatnonzero(col)
         nz = nz[nz != r]
@@ -509,7 +710,8 @@ def test_pivot_leaves_zero_row_columns_and_zero_column_rows_untouched(exact):
         a = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.4)
         b = rng.integers(0, 4, size=m) * (rng.random(m) < 0.5)
         if exact:
-            a, b = _array(a.tolist(), True) / 3, _array(b.tolist(), True) / 2
+            a = _array(a.tolist(), True) / Fraction(3)
+            b = _array(b.tolist(), True) / Fraction(2)
         else:
             # -0.0 among the zeros, as _standardize leaves in negated rows
             a, b = a / 3, b / 2
